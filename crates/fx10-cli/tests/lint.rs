@@ -49,6 +49,7 @@ fn text_goldens_are_stable() {
         "lint_inert_async",
         "lint_precision_delta",
         "lint_clean",
+        "lint_multi_race",
     ] {
         assert_golden(
             &["lint", &format!("programs/{f}.fx10")],
@@ -58,6 +59,18 @@ fn text_goldens_are_stable() {
     assert_golden(
         &["lint", "programs/lint_stuck_loop.fx10", "--input", "0,1"],
         "lint_stuck_loop.txt",
+    );
+    // Refuted and may-be-spurious pairs cannot share one run: a pair is
+    // refuted only when the whole raw space fits under the cap, which
+    // leaves nothing to run out of. The tighter cap pins the other mix.
+    assert_golden(
+        &[
+            "lint",
+            "programs/lint_multi_race.fx10",
+            "--witness-states",
+            "160",
+        ],
+        "lint_multi_race_capped.txt",
     );
 }
 

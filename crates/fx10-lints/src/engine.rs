@@ -31,12 +31,13 @@ pub struct LintOptions {
     /// length); drives the witness search and the stuck-loop proof.
     pub input: Vec<i64>,
     /// Per-finding cap on distinct raw states the witness search may
-    /// admit. 0 disables witness search: every race keeps its static
-    /// tier, tagged may-be-spurious.
+    /// admit. One search serves every finding, and each gets the answer
+    /// a lone search under this cap would give. 0 disables witness
+    /// search: every race keeps its static tier, tagged may-be-spurious.
     pub witness_states: usize,
     /// Solver for the two static analyses.
     pub solver: SolverKind,
-    /// Resource budget shared by the analyses and every witness search.
+    /// Resource budget shared by the analyses and the witness search.
     pub budget: Budget,
     /// Abstract domain for the value analysis backing the feasibility
     /// oracle and the stuck-loop proofs.

@@ -20,6 +20,12 @@
 //! *refutes* the finding (it is dropped and counted); budget exhaustion
 //! keeps the static tier and tags the finding `may-be-spurious`.
 //!
+//! All findings share one breadth-first search per lint run. Its order
+//! does not depend on the targets, so each pair resolves where a lone
+//! search for it would stop: same schedule, same outcome, and the state
+//! cap still applies to each finding as if it searched alone. Under a
+//! wall-clock deadline the still-pending pairs run out together.
+//!
 //! Reports render as human text, machine JSON, or SARIF 2.1.0 — all
 //! deterministic, so golden files can assert on the bytes.
 

@@ -5,8 +5,9 @@
 //! context-sensitive MHP and once against the context-insensitive one.
 //! CS ⊆ CI (Theorem: context sensitivity only removes pairs), so the CI
 //! run is the universe of findings and membership in the CS run decides
-//! the static tier. Each surviving finding then gets a bounded dynamic
-//! witness search:
+//! the static tier. Each surviving finding then gets the answer of a
+//! bounded dynamic witness search (one search, shared by all findings,
+//! answers each exactly as a search of its own would):
 //!
 //! * **found** — the finding is `confirmed`, with the schedule attached;
 //! * **refuted** — the raw state space was exhausted without the pair
@@ -26,8 +27,9 @@ use fx10_absint::FeasibilityOracle;
 use fx10_core::analysis::Analysis;
 use fx10_core::race::{accesses, detect_races_with, Race};
 use fx10_robust::{Budget, CancelToken, Fx10Error};
-use fx10_semantics::witness::{find_witness, WitnessSearch};
-use fx10_syntax::Program;
+use fx10_semantics::witness::{find_witnesses, WitnessSearch};
+use fx10_syntax::{Label, Program};
+use std::collections::{HashMap, HashSet};
 
 /// Outcome of the race pass.
 pub struct RacePassOutput {
@@ -37,9 +39,10 @@ pub struct RacePassOutput {
     pub refuted: usize,
 }
 
-/// Runs the race pass. `witness_states` bounds each per-finding witness
-/// search (0 disables the search entirely: every finding keeps its
-/// static tier with the may-be-spurious tag). `oracle`, when present and
+/// Runs the race pass. `witness_states` caps the one shared witness
+/// search, which answers each finding exactly as a lone search under the
+/// same cap would (0 disables the search entirely: every finding keeps
+/// its static tier with the may-be-spurious tag). `oracle`, when present and
 /// complete, downgrades abstractly-infeasible pairs and annotates
 /// surviving unconfirmed findings with guard facts.
 #[allow(clippy::too_many_arguments)]
@@ -57,43 +60,46 @@ pub fn race_pass(
     let cs_races = detect_races_with(&acc, |x, y| cs.may_happen_in_parallel(x, y));
     let ci_races = detect_races_with(&acc, |x, y| ci.may_happen_in_parallel(x, y));
     let oracle = oracle.filter(|o| o.complete);
+    let cs_keys: HashSet<_> = cs_races.iter().map(race_key).collect();
+    // The oracle that proves `race` infeasible, if there is one.
+    let pruned_by =
+        |race: &Race| oracle.filter(|o| !o.pair_feasible(race.first.label, race.second.label));
+
+    // One shared search answers every distinct label pair that needs a
+    // witness; findings on the same pair at different cells share it.
+    let mut distinct = HashSet::new();
+    let targets: Vec<_> = ci_races
+        .iter()
+        .filter(|r| witness_states > 0 && pruned_by(r).is_none())
+        .map(|r| (r.first.label, r.second.label))
+        .filter(|&pair| distinct.insert(pair))
+        .collect();
+    let answers = find_witnesses(p, input, &targets, witness_states, budget, cancel)?;
+    let searches: HashMap<_, _> = targets.into_iter().zip(answers).collect();
 
     let mut diagnostics = Vec::new();
     let mut refuted = 0usize;
     for race in &ci_races {
-        let key = (race.first.label, race.second.label, race.first.index);
-        let tier = if cs_races
-            .iter()
-            .any(|r| (r.first.label, r.second.label, r.first.index) == key)
-        {
+        let tier = if cs_keys.contains(&race_key(race)) {
             Confidence::CsStatic
         } else {
             Confidence::CiOnly
         };
-        if let Some(o) = oracle {
-            if !o.pair_feasible(race.first.label, race.second.label) {
-                diagnostics.push(infeasible(p, race, o));
+        if let Some(o) = pruned_by(race) {
+            diagnostics.push(infeasible(p, race, o));
+            continue;
+        }
+        let search = searches.get(&(race.first.label, race.second.label));
+        let (confidence, may_be_spurious, witness) = match search {
+            None => (tier, true, None),
+            Some(WitnessSearch::Found(w)) => {
+                (Confidence::Confirmed, false, Some(w.schedule.clone()))
+            }
+            Some(WitnessSearch::Refuted { .. }) => {
+                refuted += 1;
                 continue;
             }
-        }
-        let (confidence, may_be_spurious, witness) = if witness_states == 0 {
-            (tier, true, None)
-        } else {
-            match find_witness(
-                p,
-                input,
-                (race.first.label, race.second.label),
-                witness_states,
-                budget,
-                cancel,
-            )? {
-                WitnessSearch::Found(w) => (Confidence::Confirmed, false, Some(w.schedule)),
-                WitnessSearch::Refuted { .. } => {
-                    refuted += 1;
-                    continue;
-                }
-                WitnessSearch::Exhausted { .. } => (tier, true, None),
-            }
+            Some(WitnessSearch::Exhausted { .. }) => (tier, true, None),
         };
         // An unconfirmed finding keeps a note on why the value analysis
         // could not rule it out either — the facts a fix must change.
@@ -119,6 +125,12 @@ pub fn race_pass(
         diagnostics,
         refuted,
     })
+}
+
+/// A finding's identity for the CS-membership test: the label pair and
+/// the cell.
+fn race_key(race: &Race) -> (Label, Label, usize) {
+    (race.first.label, race.second.label, race.first.index)
 }
 
 /// A statically-reported race the value analysis proves infeasible:

@@ -5,11 +5,11 @@
 //!
 //! * **`async`** pushes a [`Task`] — the body statement, a fresh
 //!   activity id and forked clock, and the enclosing [`Scope`] — onto
-//!   the spawning worker's deque (LIFO for locality). Idle workers pop
-//!   their own deque from the back, drain the injector, then steal from
-//!   the *front* of a seeded-random victim — `--schedule-seed` perturbs
-//!   victim order, giving cheap schedule diversity for the differential
-//!   oracles.
+//!   the spawning worker's deque (LIFO for locality). Worker 0 starts
+//!   on the root task; idle workers pop their own deque from the back,
+//!   then steal from the *front* of a seeded-random victim —
+//!   `--schedule-seed` perturbs victim order, giving cheap schedule
+//!   diversity for the differential oracles.
 //! * **`finish`** is a countdown latch: a [`Scope`] counts pending
 //!   transitively-spawned tasks and accumulates their final vector
 //!   clocks. The activity executing the `finish` runs the body inline,
@@ -155,7 +155,6 @@ struct Engine<'a> {
     cells: Vec<AtomicI64>,
     detector: Detector,
     deques: Vec<Mutex<VecDeque<Task<'a>>>>,
-    injector: Mutex<VecDeque<Task<'a>>>,
     budget: Budget,
     cancel: &'a CancelToken,
     faults: &'a FaultPlan,
@@ -312,13 +311,9 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Own deque (back) → injector (front) → steal (front of a
-    /// seeded-random victim).
+    /// Own deque (back) → steal (front of a seeded-random victim).
     fn grab(&self, ctx: &mut Wctx) -> Option<Task<'a>> {
         if let Some(t) = self.deques[ctx.w].lock().unwrap().pop_back() {
-            return Some(t);
-        }
-        if let Some(t) = self.injector.lock().unwrap().pop_front() {
             return Some(t);
         }
         let n = self.deques.len();
@@ -365,7 +360,9 @@ impl<'a> Engine<'a> {
         r
     }
 
-    fn worker(&self, w: usize, seed: u64) {
+    /// Runs worker `w`, starting with `first` (the root task, for
+    /// worker 0) before it grabs work.
+    fn worker(&self, w: usize, seed: u64, mut first: Option<Task<'a>>) {
         let mut ctx = Wctx {
             w,
             rng: Xorshift::new(seed),
@@ -376,7 +373,7 @@ impl<'a> Engine<'a> {
             if self.root_done.load(Ordering::Acquire) || self.stop.load(Ordering::Acquire) {
                 return;
             }
-            match self.grab(&mut ctx) {
+            match first.take().or_else(|| self.grab(&mut ctx)) {
                 Some(task) => {
                     idle = 0;
                     let r = catch_unwind(AssertUnwindSafe(|| self.run_task(task, &mut ctx)));
@@ -426,7 +423,6 @@ pub fn run_parallel(
         cells: init.cells().iter().map(|&v| AtomicI64::new(v)).collect(),
         detector: Detector::new(init.cells().len()),
         deques: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
-        injector: Mutex::new(VecDeque::new()),
         budget,
         cancel,
         faults,
@@ -444,7 +440,10 @@ pub fn run_parallel(
     let root_scope = Arc::new(Scope::new());
     let mut root_clock = VClock::new();
     root_clock.bump(0);
-    engine.injector.lock().unwrap().push_back(Task {
+    // Worker 0 runs the root itself, so it is the one worker certain
+    // to process an item whatever the thread start order (fault plans
+    // target it).
+    let mut root = Some(Task {
         stmt: p.body(p.main()),
         scope: root_scope,
         tid: 0,
@@ -457,7 +456,8 @@ pub fn run_parallel(
             let wseed = cfg
                 .seed
                 .wrapping_add((w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            s.spawn(move || eng.worker(w, wseed));
+            let first = root.take();
+            s.spawn(move || eng.worker(w, wseed, first));
         }
     });
     if let Some((worker, message)) = engine.panicked.into_inner().unwrap() {

@@ -51,4 +51,6 @@ pub use shard::{
 pub use snapshot::{fingerprint as snapshot_fingerprint, ExplorerSnapshot};
 pub use state::ArrayState;
 pub use tree::Tree;
-pub use witness::{find_witness, find_witness_simple, witness_exhibits, Witness, WitnessSearch};
+pub use witness::{
+    find_witness, find_witness_simple, find_witnesses, witness_exhibits, Witness, WitnessSearch,
+};

@@ -24,8 +24,8 @@ use crate::tree::Tree;
 
 use fx10_robust::{Budget, BudgetMeter, CancelToken, Fx10Error, Stop};
 use fx10_syntax::{Label, Program};
-use std::collections::HashSet;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::rc::Rc;
 
 /// A concrete interleaving exhibiting a label pair running in parallel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,7 +64,8 @@ pub enum WitnessSearch {
 /// The search additionally honors `budget`'s wall-clock deadline and the
 /// cancel token (cancellation surfaces as [`Fx10Error::Cancelled`]; a
 /// deadline trip degrades to [`WitnessSearch::Exhausted`], matching the
-/// explorer's budget semantics).
+/// explorer's budget semantics). This is the one-target case of
+/// [`find_witnesses`].
 pub fn find_witness(
     p: &Program,
     input: &[i64],
@@ -73,44 +74,70 @@ pub fn find_witness(
     budget: Budget,
     cancel: &CancelToken,
 ) -> Result<WitnessSearch, Fx10Error> {
-    let target = pair(target.0, target.1);
+    let mut found = find_witnesses(p, input, &[target], max_states, budget, cancel)?;
+    Ok(found.pop().expect("one answer per target"))
+}
+
+/// Answers every target with one shared breadth-first search; result
+/// `i` belongs to `targets[i]`.
+///
+/// The BFS order depends only on the program and the input, never on the
+/// targets, so the multi-target search is a set of lone searches run in
+/// lockstep: each target resolves at the first state that contains it,
+/// exactly where its own [`find_witness`] call would stop, with the same
+/// schedule and the same `states` count. A lone search that has not
+/// stopped yet has visited the same prefix, so the state cap and the
+/// iteration budget trip for every still-pending target together, and
+/// each gets the `Exhausted` count its lone search would have reported.
+/// An empty frontier refutes whatever is still pending. The search ends
+/// as soon as no target is pending; cancellation aborts the whole call.
+pub fn find_witnesses(
+    p: &Program,
+    input: &[i64],
+    targets: &[LabelPair],
+    max_states: usize,
+    budget: Budget,
+    cancel: &CancelToken,
+) -> Result<Vec<WitnessSearch>, Fx10Error> {
+    let mut targets = Targets::new(targets);
+    let root = Rc::new((ArrayState::with_input(p, input), initial_tree(p)));
+    targets.settle(&parallel(&root.1), 1, Vec::new);
+    if targets.pending.is_empty() {
+        return Ok(targets.answers(None));
+    }
     let mut meter = BudgetMeter::new(budget, cancel.clone());
 
     // Parent-pointer BFS: `nodes[i]` remembers how state `i` was reached
-    // so the schedule reconstructs by walking back to the root.
+    // so the schedule reconstructs by walking back to the root. Each raw
+    // state is stored once, shared by `states` and `seen`.
     struct Node {
         parent: usize,
         choice: u32,
-    }
-    let root = (ArrayState::with_input(p, input), initial_tree(p));
-    if parallel(&root.1).contains(&target) {
-        return Ok(WitnessSearch::Found(Witness {
-            pair: target,
-            schedule: Vec::new(),
-            states: 1,
-        }));
     }
     let mut nodes = vec![Node {
         parent: usize::MAX,
         choice: 0,
     }];
-    let mut states: Vec<(ArrayState, Tree)> = vec![root.clone()];
-    let mut seen: HashSet<(ArrayState, Tree)> = HashSet::from([root]);
+    let mut states: Vec<Rc<(ArrayState, Tree)>> = vec![Rc::clone(&root)];
+    let mut seen: HashSet<Rc<(ArrayState, Tree)>> = HashSet::from([root]);
     let mut frontier: VecDeque<usize> = VecDeque::from([0]);
 
-    while let Some(at) = frontier.pop_front() {
+    let rest = 'bfs: loop {
+        let Some(at) = frontier.pop_front() else {
+            break WitnessSearch::Refuted { states: seen.len() };
+        };
         match meter.tick() {
             Ok(()) => {}
             Err(Stop::Cancelled) => return Err(Fx10Error::Cancelled),
-            Err(Stop::Exhausted(_)) => return Ok(WitnessSearch::Exhausted { states: seen.len() }),
+            Err(Stop::Exhausted(_)) => break WitnessSearch::Exhausted { states: seen.len() },
         }
-        let (array, tree) = states[at].clone();
-        for (choice, succ) in successors(p, &array, &tree).into_iter().enumerate() {
+        let here = Rc::clone(&states[at]);
+        for (choice, succ) in successors(p, &here.0, &here.1).into_iter().enumerate() {
             let key = (succ.array, succ.tree);
             if seen.contains(&key) {
                 continue;
             }
-            if parallel(&key.1).contains(&target) {
+            targets.settle(&parallel(&key.1), seen.len() + 1, || {
                 let mut schedule = vec![choice as u32];
                 let mut up = at;
                 while up != 0 {
@@ -118,25 +145,85 @@ pub fn find_witness(
                     up = nodes[up].parent;
                 }
                 schedule.reverse();
-                return Ok(WitnessSearch::Found(Witness {
-                    pair: target,
-                    schedule,
-                    states: seen.len() + 1,
-                }));
+                schedule
+            });
+            if targets.pending.is_empty() {
+                return Ok(targets.answers(None));
             }
             if seen.len() >= max_states {
-                return Ok(WitnessSearch::Exhausted { states: seen.len() });
+                break 'bfs WitnessSearch::Exhausted { states: seen.len() };
             }
             nodes.push(Node {
                 parent: at,
                 choice: choice as u32,
             });
-            states.push(key.clone());
+            let key = Rc::new(key);
+            states.push(Rc::clone(&key));
             seen.insert(key);
             frontier.push_back(nodes.len() - 1);
         }
+    };
+    Ok(targets.answers(Some(rest)))
+}
+
+/// The targets of one [`find_witnesses`] call and what is known so far.
+struct Targets {
+    /// Normalized target pairs, in the caller's order.
+    pairs: Vec<LabelPair>,
+    /// `answers[i]` is set once `pairs[i]` is found.
+    answers: Vec<Option<WitnessSearch>>,
+    /// Indices of the targets not found yet.
+    pending: Vec<usize>,
+}
+
+impl Targets {
+    fn new(targets: &[LabelPair]) -> Self {
+        Targets {
+            pairs: targets.iter().map(|&(a, b)| pair(a, b)).collect(),
+            answers: vec![None; targets.len()],
+            pending: (0..targets.len()).collect(),
+        }
     }
-    Ok(WitnessSearch::Refuted { states: seen.len() })
+
+    /// Resolves every pending target in `par` (the `parallel(T)` of a
+    /// newly reached state) as found there, all with the one schedule
+    /// `schedule` builds; it is built only if some target is found.
+    fn settle(
+        &mut self,
+        par: &BTreeSet<LabelPair>,
+        states: usize,
+        schedule: impl FnOnce() -> Vec<u32>,
+    ) {
+        let pairs = &self.pairs;
+        if !self.pending.iter().any(|&i| par.contains(&pairs[i])) {
+            return;
+        }
+        let schedule = schedule();
+        let answers = &mut self.answers;
+        self.pending.retain(|&i| {
+            if !par.contains(&pairs[i]) {
+                return true;
+            }
+            answers[i] = Some(WitnessSearch::Found(Witness {
+                pair: pairs[i],
+                schedule: schedule.clone(),
+                states,
+            }));
+            false
+        });
+    }
+
+    /// Every answer, with each still-pending target answered by `rest`
+    /// (`None` only when nothing is pending).
+    fn answers(self, rest: Option<WitnessSearch>) -> Vec<WitnessSearch> {
+        self.answers
+            .into_iter()
+            .map(|a| {
+                a.or_else(|| rest.clone())
+                    .expect("a pending target needs an answer")
+            })
+            .collect()
+    }
 }
 
 /// Validates a witness schedule: replays it from the initial state and
