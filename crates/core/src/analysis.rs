@@ -365,24 +365,54 @@ impl Analysis {
         PruneReport { kept, pruned }
     }
 
-    /// All MHP pairs as (name, name), sorted — convenient for tests and
-    /// reports.
-    pub fn pairs_named(&self, p: &Program) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = self
+    /// All MHP pairs, each once, in display-name order: within a pair the
+    /// first name sorts at or before the second, and pairs sort by
+    /// (first name, second name) as strings would.
+    ///
+    /// The labels are ranked once by display name and the pairs sorted
+    /// as integer tuples. Labels with equal names (a user label spelled
+    /// like an auto `L<n>`) share a rank, so pairs that render alike
+    /// collapse into one, represented by its lowest label pair.
+    pub fn pairs_by_name(&self, p: &Program) -> Vec<(Label, Label)> {
+        let mut by_name: Vec<(String, Label)> = (0..self.mhp().universe())
+            .map(|i| {
+                let l = Label(i as u32);
+                (p.labels().display(l), l)
+            })
+            .collect();
+        by_name.sort_unstable();
+        let mut rank = vec![0u32; by_name.len()];
+        let mut next = 0u32;
+        for (i, (name, l)) in by_name.iter().enumerate() {
+            if i > 0 && by_name[i - 1].0 != *name {
+                next += 1;
+            }
+            rank[l.index()] = next;
+        }
+        let mut ranked: Vec<(u32, u32, Label, Label)> = self
             .mhp()
             .iter_pairs()
             .map(|(a, b)| {
-                let (x, y) = (p.labels().display(a), p.labels().display(b));
-                if x <= y {
-                    (x, y)
+                let (ra, rb) = (rank[a.index()], rank[b.index()]);
+                if (ra, a) <= (rb, b) {
+                    (ra, rb, a, b)
                 } else {
-                    (y, x)
+                    (rb, ra, b, a)
                 }
             })
             .collect();
-        out.sort();
-        out.dedup();
-        out
+        ranked.sort_unstable();
+        ranked.dedup_by_key(|&mut (ra, rb, _, _)| (ra, rb));
+        ranked.into_iter().map(|(_, _, a, b)| (a, b)).collect()
+    }
+
+    /// [`Self::pairs_by_name`] rendered as (name, name) — convenient for
+    /// tests and reports.
+    pub fn pairs_named(&self, p: &Program) -> Vec<(String, String)> {
+        self.pairs_by_name(p)
+            .into_iter()
+            .map(|(a, b)| (p.labels().display(a), p.labels().display(b)))
+            .collect()
     }
 
     /// Checks **Theorem 2 soundness** (`dynamic ⊆ static`) against a set

@@ -13,7 +13,11 @@
 //! - **naive** — round-robin passes over all constraints until a full pass
 //!   changes nothing. The pass count is reported; this is the "Number of
 //!   iterations" column of Figure 8 (the final, changeless pass included,
-//!   matching the paper's minimum of 2).
+//!   matching the paper's minimum of 2). A constraint none of whose
+//!   variable inputs changed since it last ran is skipped — re-running
+//!   it could add nothing — but a skip still counts as one evaluation and
+//!   one meter tick, so pass counts, `evals` and budget cut points are
+//!   those of the plain loop that re-evaluates everything.
 //! - **worklist** — seeds all constraints, then re-evaluates only the
 //!   constraints whose right-hand-side variables changed. Same solution;
 //!   used as the production path and measured by the solver-ablation
@@ -143,6 +147,78 @@ macro_rules! unreachable_partial {
     };
 }
 
+/// What the shared naive loop needs from a constraint.
+trait NaiveRule {
+    type Value;
+    /// Index of the constrained variable.
+    fn lhs(&self) -> usize;
+    /// Indices of the variables the right-hand side reads, without the
+    /// vacuous self-read `x ⊇ x`.
+    fn inputs(&self) -> impl Iterator<Item = usize> + '_;
+    /// Unions the right-hand side into the lhs; true when the lhs grew.
+    fn eval(&self, values: &mut [Self::Value]) -> bool;
+}
+
+impl NaiveRule for SetConstraint {
+    type Value = LabelSet;
+    fn lhs(&self) -> usize {
+        self.lhs.index()
+    }
+    fn inputs(&self) -> impl Iterator<Item = usize> + '_ {
+        self.terms.iter().filter_map(|t| match t {
+            SetTerm::Var(v) if *v != self.lhs => Some(v.index()),
+            _ => None,
+        })
+    }
+    fn eval(&self, values: &mut [LabelSet]) -> bool {
+        eval_set_constraint(self, values)
+    }
+}
+
+/// The round-robin loop of both naive solvers: passes over all
+/// constraints until a full pass changes nothing. Returns
+/// `(passes, evals, exhausted)`; the values are left in `values`.
+///
+/// A constraint is skipped when none of its variable inputs changed
+/// since it last ran: its constants went into the lhs on that run and
+/// the lhs only grows, so a re-run would add nothing. A skip still ticks
+/// the meter and counts as an evaluation, so `passes`, `evals` and the
+/// point where a budget cuts in are those of the loop that re-runs every
+/// constraint.
+fn naive_passes<C: NaiveRule>(
+    constraints: &[C],
+    values: &mut [C::Value],
+    meter: &mut BudgetMeter,
+) -> Result<(usize, usize, Option<Exhaustion>), Fx10Error> {
+    // Stamps are 1-based evaluation numbers; 0 means "never".
+    let mut changed_at = vec![0usize; values.len()];
+    let mut ran_at = vec![0usize; constraints.len()];
+    let mut passes = 0usize;
+    let mut evals = 0usize;
+    loop {
+        passes += 1;
+        let mut changed = false;
+        for (c, ran) in constraints.iter().zip(&mut ran_at) {
+            match meter.tick() {
+                Ok(()) => {}
+                Err(Stop::Exhausted(e)) => return Ok((passes, evals, Some(e))),
+                Err(stop @ Stop::Cancelled) => return Err(stop.into()),
+            }
+            evals += 1;
+            if *ran == 0 || c.inputs().any(|v| changed_at[v] > *ran) {
+                *ran = evals;
+                if c.eval(values) {
+                    changed_at[c.lhs()] = evals;
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            return Ok((passes, evals, None));
+        }
+    }
+}
+
 /// Naive round-robin solver; reports the pass count.
 pub fn solve_set_naive(sys: &SetSystem) -> SetSolution {
     solve_set_naive_budgeted(sys, &mut BudgetMeter::unlimited())
@@ -156,28 +232,7 @@ pub fn solve_set_naive_budgeted(
     meter: &mut BudgetMeter,
 ) -> Result<SetSolution, Fx10Error> {
     let mut values = vec![LabelSet::empty(sys.universe); sys.n_vars];
-    let mut passes = 0usize;
-    let mut evals = 0usize;
-    let mut exhausted = None;
-    'solve: loop {
-        passes += 1;
-        let mut changed = false;
-        for c in &sys.constraints {
-            match meter.tick() {
-                Ok(()) => {}
-                Err(Stop::Exhausted(e)) => {
-                    exhausted = Some(e);
-                    break 'solve;
-                }
-                Err(stop @ Stop::Cancelled) => return Err(stop.into()),
-            }
-            evals += 1;
-            changed |= eval_set_constraint(c, &mut values);
-        }
-        if !changed {
-            break;
-        }
-    }
+    let (passes, evals, exhausted) = naive_passes(&sys.constraints, &mut values, meter)?;
     Ok(SetSolution {
         values,
         passes,
@@ -341,6 +396,22 @@ fn eval_pair_constraint(c: &PairConstraint, values: &mut [PairSet]) -> bool {
     changed
 }
 
+impl NaiveRule for PairConstraint {
+    type Value = PairSet;
+    fn lhs(&self) -> usize {
+        self.lhs.index()
+    }
+    fn inputs(&self) -> impl Iterator<Item = usize> + '_ {
+        self.terms.iter().filter_map(|t| match t {
+            PairTerm::MVar(v) if *v != self.lhs => Some(v.index()),
+            _ => None,
+        })
+    }
+    fn eval(&self, values: &mut [PairSet]) -> bool {
+        eval_pair_constraint(self, values)
+    }
+}
+
 /// Naive round-robin level-2 solver; reports the pass count.
 pub fn solve_pair_naive(sys: &PairSystem) -> PairSolution {
     solve_pair_naive_budgeted(sys, &mut BudgetMeter::unlimited())
@@ -353,28 +424,7 @@ pub fn solve_pair_naive_budgeted(
     meter: &mut BudgetMeter,
 ) -> Result<PairSolution, Fx10Error> {
     let mut values = vec![PairSet::empty(sys.universe); sys.n_vars];
-    let mut passes = 0usize;
-    let mut evals = 0usize;
-    let mut exhausted = None;
-    'solve: loop {
-        passes += 1;
-        let mut changed = false;
-        for c in &sys.constraints {
-            match meter.tick() {
-                Ok(()) => {}
-                Err(Stop::Exhausted(e)) => {
-                    exhausted = Some(e);
-                    break 'solve;
-                }
-                Err(stop @ Stop::Cancelled) => return Err(stop.into()),
-            }
-            evals += 1;
-            changed |= eval_pair_constraint(c, &mut values);
-        }
-        if !changed {
-            break;
-        }
-    }
+    let (passes, evals, exhausted) = naive_passes(&sys.constraints, &mut values, meter)?;
     Ok(PairSolution {
         values,
         passes,

@@ -94,7 +94,8 @@ use fx10_semantics::{
     explore_parallel_durable, run_budgeted, CheckpointSpec, Durability, ExploreConfig,
     ExplorerSnapshot, Scheduler, WatchdogSpec,
 };
-use fx10_syntax::Program;
+use fx10_syntax::{Label, Program};
+use std::io::{BufWriter, StdoutLock, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -304,12 +305,36 @@ impl Opts {
     }
 }
 
+/// Writes a command's listing through one buffered writer over the
+/// locked stdout, so a long listing costs a few `write(2)` calls instead
+/// of one per line. A closed pipe (`fx10 mhp big.fx10 | head -1`) is the
+/// reader's choice, not a failure: the listing stops quietly and the
+/// command keeps its verdict. Any other write error is a typed I/O error.
+fn write_stdout(
+    f: impl FnOnce(&mut BufWriter<StdoutLock<'static>>) -> std::io::Result<()>,
+) -> Result<(), Fx10Error> {
+    let mut out = BufWriter::with_capacity(1 << 16, std::io::stdout().lock());
+    match f(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(Fx10Error::Io {
+            path: "<stdout>".to_string(),
+            message: e.to_string(),
+        }),
+        _ => Ok(()),
+    }
+}
+
 /// The explorer summary shared by the single-process and sharded paths —
 /// identical stdout modulo the leading `jobs:`/`shards:` line, which is
 /// what lets the chaos harness diff a faulted sharded run against the
 /// sequential reference.
-fn print_exploration(p: &Program, e: &fx10_semantics::Exploration, digest_xor: bool) {
-    println!(
+fn print_exploration(
+    out: &mut impl Write,
+    p: &Program,
+    e: &fx10_semantics::Exploration,
+    digest_xor: bool,
+) -> std::io::Result<()> {
+    writeln!(
+        out,
         "{} state(s) visited{}, {} terminal(s), deadlock-free: {}",
         e.visited,
         match e.exhausted {
@@ -318,10 +343,15 @@ fn print_exploration(p: &Program, e: &fx10_semantics::Exploration, digest_xor: b
         },
         e.terminals,
         e.deadlock_free
-    );
-    println!("dynamic MHP pairs ({}):", e.mhp.len());
+    )?;
+    writeln!(out, "dynamic MHP pairs ({}):", e.mhp.len())?;
     for &(a, b) in &e.mhp {
-        println!("  ({}, {})", p.labels().display(a), p.labels().display(b));
+        writeln!(
+            out,
+            "  ({}, {})",
+            p.labels().display(a),
+            p.labels().display(b)
+        )?;
     }
     if digest_xor {
         let set = e.state_digests.as_ref();
@@ -331,8 +361,9 @@ fn print_exploration(p: &Program, e: &fx10_semantics::Exploration, digest_xor: b
                 x ^ fx10_robust::snapshot::fnv1a64(d.as_bytes())
             })
         });
-        println!("digest-xor: {xor:016x} over {n} state(s)");
+        writeln!(out, "digest-xor: {xor:016x} over {n} state(s)")?;
     }
+    Ok(())
 }
 
 /// The shared tail of the runtime `run` paths. Deliberately identical
@@ -1076,13 +1107,16 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
             for ev in &prov.events {
                 eprintln!("shards: {ev}");
             }
-            println!(
-                "shards: {} worker process(es), {} restart(s), {} migration(s)",
-                opts.shards.unwrap_or(1),
-                prov.restarts,
-                prov.migrations
-            );
-            print_exploration(&p, &e, opts.digest_xor);
+            write_stdout(|out| {
+                writeln!(
+                    out,
+                    "shards: {} worker process(es), {} restart(s), {} migration(s)",
+                    opts.shards.unwrap_or(1),
+                    prov.restarts,
+                    prov.migrations
+                )?;
+                print_exploration(out, &p, &e, opts.digest_xor)
+            })?;
             Ok(Verdict::of(e.exhausted))
         }
         "explore" => {
@@ -1115,53 +1149,67 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                     watchdog: Some(opts.watchdog()),
                 },
             )?;
-            println!("jobs: {} (work-stealing interned explorer)", opts.jobs);
-            print_exploration(&p, &e, opts.digest_xor);
+            write_stdout(|out| {
+                writeln!(out, "jobs: {} (work-stealing interned explorer)", opts.jobs)?;
+                print_exploration(out, &p, &e, opts.digest_xor)
+            })?;
             Ok(Verdict::of(e.exhausted))
         }
         "mhp" => {
             let p = load(target)?;
+            let mut degraded = None;
             let a = if opts.fallback_ci && !opts.ci {
                 let out = analyze_with_fallback(&p, opts.solver, budget, budget, &cancel)?;
                 if out.path == AnalysisPath::ContextInsensitiveFallback {
-                    let why = out
-                        .cs_exhaustion
-                        .map(|e| e.to_string())
-                        .unwrap_or_else(|| "budget".to_string());
-                    println!(
-                        "context-sensitive analysis exhausted its {why}; \
-                         answering with the context-insensitive over-approximation"
+                    degraded = Some(
+                        out.cs_exhaustion
+                            .map(|e| e.to_string())
+                            .unwrap_or_else(|| "budget".to_string()),
                     );
                 }
                 out.analysis
             } else {
                 analyze_with_budget(&p, opts.mode(), opts.solver, budget, &cancel)?
             };
-            println!(
-                "{} analysis: {} constraint(s), iterations S/1/2 = {}/{}/{}",
-                match a.mode() {
-                    fx10_core::Mode::ContextSensitive => "context-sensitive",
-                    fx10_core::Mode::ContextInsensitive { .. } => "context-insensitive",
-                },
-                a.stats.slabels_constraints
-                    + a.stats.level1_constraints
-                    + a.stats.level2_constraints,
-                a.stats.slabels_passes,
-                a.stats.level1_passes,
-                a.stats.level2_passes
-            );
-            let pairs = a.pairs_named(&p);
-            println!("MHP pairs ({}):", pairs.len());
-            for (x, y) in pairs {
-                println!("  ({x}, {y})");
-            }
+            let pairs = a.pairs_by_name(&p);
+            let names: Vec<String> = (0..p.label_count())
+                .map(|i| p.labels().display(Label(i as u32)))
+                .collect();
             let rep = fx10_core::report::async_pairs(&a);
-            print!("{}", fx10_core::report::render_report(&p, &rep));
-            // A fallback analysis that *completed* is conclusive (a sound
-            // over-approximation); a budget-cut one is not.
-            if let Some(e) = a.exhausted {
-                println!("INCONCLUSIVE ({e} exhausted) — pair set is partial");
-            }
+            write_stdout(|out| {
+                if let Some(why) = &degraded {
+                    writeln!(
+                        out,
+                        "context-sensitive analysis exhausted its {why}; \
+                         answering with the context-insensitive over-approximation"
+                    )?;
+                }
+                writeln!(
+                    out,
+                    "{} analysis: {} constraint(s), iterations S/1/2 = {}/{}/{}",
+                    match a.mode() {
+                        fx10_core::Mode::ContextSensitive => "context-sensitive",
+                        fx10_core::Mode::ContextInsensitive { .. } => "context-insensitive",
+                    },
+                    a.stats.slabels_constraints
+                        + a.stats.level1_constraints
+                        + a.stats.level2_constraints,
+                    a.stats.slabels_passes,
+                    a.stats.level1_passes,
+                    a.stats.level2_passes
+                )?;
+                writeln!(out, "MHP pairs ({}):", pairs.len())?;
+                for &(x, y) in &pairs {
+                    writeln!(out, "  ({}, {})", names[x.index()], names[y.index()])?;
+                }
+                out.write_all(fx10_core::report::render_report(&p, &rep).as_bytes())?;
+                // A fallback analysis that *completed* is conclusive (a
+                // sound over-approximation); a budget-cut one is not.
+                if let Some(e) = a.exhausted {
+                    writeln!(out, "INCONCLUSIVE ({e} exhausted) — pair set is partial")?;
+                }
+                Ok(())
+            })?;
             Ok(Verdict::of(a.exhausted))
         }
         "race" => {

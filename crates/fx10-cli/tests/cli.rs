@@ -796,3 +796,93 @@ fn chaos_env_hooks_are_rejected_on_run() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Buffered listings: byte-identical goldens and write-error handling
+// ---------------------------------------------------------------------------
+
+/// `mhp` output is pinned byte for byte on a fixture whose pair names do
+/// not sort like its labels: auto labels past `L9` and a user label that
+/// shares the name of an auto label.
+#[test]
+fn mhp_goldens_are_byte_identical() {
+    for (args, golden) in [
+        (&["mhp", "programs/mhp_names.fx10"][..], "mhp_names.txt"),
+        (
+            &["mhp", "programs/mhp_names.fx10", "--ci"][..],
+            "mhp_names_ci.txt",
+        ),
+    ] {
+        let out = fx10(args);
+        assert_eq!(code(&out), 0, "{out:?}");
+        let want = std::fs::read(repo_root().join("programs/golden").join(golden)).unwrap();
+        assert!(out.stdout == want, "golden drift for {args:?}");
+    }
+}
+
+/// A program whose `mhp` listing is far larger than a pipe buffer:
+/// `n` top-level asyncs all pair with each other.
+fn wide_program(n: usize) -> String {
+    let path = std::env::temp_dir().join(format!("fx10-cli-wide-{}-{n}.fx10", std::process::id()));
+    let body = "  async { skip; }\n".repeat(n);
+    std::fs::write(&path, format!("def main() {{\n{body}}}\n")).unwrap();
+    path.display().to_string()
+}
+
+/// `fx10 mhp big.fx10 | head -1`: the reader closes the pipe after one
+/// line. The listing stops quietly with the command's verdict (exit 0),
+/// not a "failed printing to stdout" panic (exit 101).
+#[test]
+fn closing_the_pipe_early_is_not_a_panic() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let path = wide_program(300);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fx10"))
+        .args(["mhp", &path])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut reader = BufReader::new(child.stdout.take().unwrap());
+    let mut first = String::new();
+    reader.read_line(&mut first).unwrap();
+    assert!(first.starts_with("context-sensitive analysis:"), "{first}");
+    drop(reader);
+    let status = child.wait().unwrap();
+    let mut err = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut err)
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_ne!(status.code(), Some(101), "{err}");
+    assert_eq!(status.code(), Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+/// A write error other than a closed pipe (here: a full device) is a
+/// typed I/O error, exit 1, on both buffered listings.
+#[test]
+fn full_stdout_is_a_typed_io_error_exit_1() {
+    let full = std::path::Path::new("/dev/full");
+    if !full.exists() {
+        return;
+    }
+    for args in [
+        &["mhp", "programs/example22.fx10"][..],
+        &["explore", "programs/fork_join.fx10", "--jobs", "1"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fx10"))
+            .current_dir(repo_root())
+            .args(args)
+            .stdout(std::fs::File::options().write(true).open(full).unwrap())
+            .output()
+            .expect("binary runs");
+        let err = stderr(&out);
+        assert_eq!(code(&out), 1, "{args:?}: {err}");
+        assert!(err.contains("error: <stdout>:"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
