@@ -151,40 +151,18 @@ fn systems(p: &Program, mode: Mode) -> (SetSystem, SetSystem, PairSystem) {
     (slabels_system(&idx), gen.level1, l2)
 }
 
-fn assert_set_matches(sys: &SetSystem, pick: u64, what: &str) -> Result<(), TestCaseError> {
-    let full = reference_set_naive(sys, &mut meter(None));
-    for k in std::iter::once(None).chain(budgets(full.2, pick).into_iter().map(Some)) {
-        let got = solve_set_naive_budgeted(sys, &mut meter(k)).unwrap();
-        let want = reference_set_naive(sys, &mut meter(k));
-        prop_assert_eq!(&got.values, &want.0, "{} values at max_iters {:?}", what, k);
-        prop_assert_eq!(got.passes, want.1, "{} passes at max_iters {:?}", what, k);
-        prop_assert_eq!(got.evals, want.2, "{} evals at max_iters {:?}", what, k);
-        prop_assert_eq!(
-            got.exhausted,
-            want.3,
-            "{} exhaustion at max_iters {:?}",
-            what,
-            k
-        );
-    }
-    Ok(())
-}
-
-fn assert_pair_matches(sys: &PairSystem, pick: u64, what: &str) -> Result<(), TestCaseError> {
-    let full = reference_pair_naive(sys, &mut meter(None));
-    for k in std::iter::once(None).chain(budgets(full.2, pick).into_iter().map(Some)) {
-        let got = solve_pair_naive_budgeted(sys, &mut meter(k)).unwrap();
-        let want = reference_pair_naive(sys, &mut meter(k));
-        prop_assert_eq!(&got.values, &want.0, "{} values at max_iters {:?}", what, k);
-        prop_assert_eq!(got.passes, want.1, "{} passes at max_iters {:?}", what, k);
-        prop_assert_eq!(got.evals, want.2, "{} evals at max_iters {:?}", what, k);
-        prop_assert_eq!(
-            got.exhausted,
-            want.3,
-            "{} exhaustion at max_iters {:?}",
-            what,
-            k
-        );
+/// Checks a library solve against its reference, unbudgeted and at every
+/// budget of [`budgets`].
+fn assert_matches<V: PartialEq + std::fmt::Debug>(
+    what: &str,
+    pick: u64,
+    library: impl Fn(&mut BudgetMeter) -> Solved<V>,
+    reference: impl Fn(&mut BudgetMeter) -> Solved<V>,
+) -> Result<(), TestCaseError> {
+    let total = reference(&mut meter(None)).2;
+    for k in std::iter::once(None).chain(budgets(total, pick).into_iter().map(Some)) {
+        let (got, want) = (library(&mut meter(k)), reference(&mut meter(k)));
+        prop_assert_eq!(got, want, "{} at max_iters {:?}", what, k);
     }
     Ok(())
 }
@@ -214,9 +192,26 @@ proptest! {
         let p = random_fx10(cfg(seed, methods, stmts, depth));
         for mode in [Mode::ContextSensitive, Mode::ContextInsensitive { keep_scross: true }] {
             let (slab, l1, l2) = systems(&p, mode);
-            assert_set_matches(&slab, pick, "slabels")?;
-            assert_set_matches(&l1, pick, "level-1")?;
-            assert_pair_matches(&l2, pick, "level-2")?;
+            for (what, sys) in [("slabels", &slab), ("level-1", &l1)] {
+                assert_matches(
+                    what,
+                    pick,
+                    |m| {
+                        let s = solve_set_naive_budgeted(sys, m).unwrap();
+                        (s.values, s.passes, s.evals, s.exhausted)
+                    },
+                    |m| reference_set_naive(sys, m),
+                )?;
+            }
+            assert_matches(
+                "level-2",
+                pick,
+                |m| {
+                    let s = solve_pair_naive_budgeted(&l2, m).unwrap();
+                    (s.values, s.passes, s.evals, s.exhausted)
+                },
+                |m| reference_pair_naive(&l2, m),
+            )?;
         }
     }
 }
