@@ -6,27 +6,11 @@ use crate::gen::{self, GenOutput, Mode};
 use crate::index::StmtIndex;
 use crate::sets::{LabelSet, PairSet};
 use crate::slabels::{compute_slabels_budgeted, SlabelsResult};
-use crate::solver::{
-    solve_pair_naive_budgeted, solve_pair_worklist_budgeted, solve_set_naive_budgeted,
-    solve_set_worklist_budgeted, PairSolution, SetSolution,
-};
+pub use crate::solver::SolverKind;
+use crate::solver::{solve_pair, solve_set, PairSolution, SetSolution};
 use fx10_robust::backoff::XorShift64;
 use fx10_robust::{Budget, BudgetMeter, CancelToken, Exhaustion, FaultPlan, Fx10Error, Stop};
 use fx10_syntax::{FuncId, Label, Program};
-
-/// Which fixed-point algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverKind {
-    /// The paper's round-robin iteration; pass counts are reported.
-    Naive,
-    /// Worklist iteration (same solutions, fewer evaluations).
-    Worklist,
-    /// SCC-condensation level-2 solve (worklist for the set phases).
-    Scc,
-    /// Multi-threaded SCC-condensation level-2 solve with the given
-    /// thread count (worklist for the set phases).
-    SccParallel(usize),
-}
 
 /// Counters matching the evaluation tables.
 #[derive(Debug, Clone, Default)]
@@ -98,8 +82,8 @@ pub fn analyze_with(p: &Program, mode: Mode, solver: SolverKind) -> Analysis {
 /// Budget exhaustion in any phase stops that phase, tags the result
 /// ([`Analysis::exhausted`]) and *skips the remaining solver work* (the
 /// already-solved prefix is kept; unsolved variables stay empty), so the
-/// caller always gets a typed, partial answer. Cancellation and worker
-/// panics return `Err`.
+/// caller always gets a typed, partial answer. Cancellation returns
+/// `Err`.
 pub fn analyze_with_budget(
     p: &Program,
     mode: Mode,
@@ -107,24 +91,11 @@ pub fn analyze_with_budget(
     budget: Budget,
     cancel: &CancelToken,
 ) -> Result<Analysis, Fx10Error> {
-    analyze_with_faults(p, mode, solver, budget, cancel, &FaultPlan::none())
-}
-
-/// [`analyze_with_budget`] plus a [`FaultPlan`] for the parallel level-2
-/// solver — the entry point the fault-injection harness drives.
-pub fn analyze_with_faults(
-    p: &Program,
-    mode: Mode,
-    solver: SolverKind,
-    budget: Budget,
-    cancel: &CancelToken,
-    faults: &FaultPlan,
-) -> Result<Analysis, Fx10Error> {
     let start = std::time::Instant::now();
     let mut meter = BudgetMeter::new(budget, cancel.clone());
     let idx = StmtIndex::build(p);
     // Step 1: solve the Slabels equations.
-    let slabels = compute_slabels_budgeted(&idx, solver == SolverKind::Naive, &mut meter)?;
+    let slabels = compute_slabels_budgeted(&idx, solver, &mut meter)?;
     // Phase boundary: cancellation unwinds; a tripped deadline is
     // recorded in the meter and the remaining phases short-circuit on
     // their own polls, keeping the partial-result contract.
@@ -133,10 +104,7 @@ pub fn analyze_with_faults(
     }
     // Step 2: generate and solve the level-1 constraints.
     let gen = gen::generate(p, &idx, &slabels, mode);
-    let l1 = match solver {
-        SolverKind::Naive => solve_set_naive_budgeted(&gen.level1, &mut meter)?,
-        _ => solve_set_worklist_budgeted(&gen.level1, &mut meter)?,
-    };
+    let l1 = solve_set(&gen.level1, solver, &mut meter)?;
     // Phase boundary: cancellation unwinds; a tripped deadline is
     // recorded in the meter and the remaining phases short-circuit on
     // their own polls, keeping the partial-result contract.
@@ -145,24 +113,7 @@ pub fn analyze_with_faults(
     }
     // Step 3: simplify and solve the level-2 constraints.
     let l2sys = gen::simplify(&gen, &l1, &slabels);
-    let l2 = match solver {
-        SolverKind::Naive => solve_pair_naive_budgeted(&l2sys, &mut meter)?,
-        SolverKind::Worklist => solve_pair_worklist_budgeted(&l2sys, &mut meter)?,
-        SolverKind::Scc => crate::scc::solve_pair_scc_budgeted(&l2sys, &mut meter)?,
-        SolverKind::SccParallel(t) => {
-            let sol = crate::scc::solve_pair_scc_parallel_budgeted(
-                &l2sys,
-                t,
-                meter.budget(),
-                cancel,
-                faults,
-            )?;
-            // Settle the crew's shared tick count with the meter; a trip
-            // here is already reflected in sol.exhausted.
-            let _ = meter.charge(sol.evals as u64);
-            sol
-        }
-    };
+    let l2 = solve_pair(&l2sys, solver, &mut meter)?;
     let millis = start.elapsed().as_secs_f64() * 1e3;
 
     let exhausted = slabels

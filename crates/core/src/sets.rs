@@ -386,8 +386,7 @@ pub fn lcross(n: usize, l: Label, a: &LabelSet) -> PairSet {
 }
 
 /// Shared, immutable label set — constants referenced by many constraints.
-/// `Arc` rather than `Rc` so constraint systems are `Send + Sync` for the
-/// parallel SCC solver.
+/// `Arc` rather than `Rc` keeps constraint systems `Send + Sync`.
 pub type SharedLabelSet = Arc<LabelSet>;
 
 #[cfg(test)]

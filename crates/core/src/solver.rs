@@ -9,7 +9,9 @@
 //! accommodates the context-insensitive analysis's genuine subset
 //! constraints `r_s ⊆ r_i` (constraint 83) with no special casing.
 //!
-//! Two solvers are provided for each domain:
+//! Two solvers, picked by [`SolverKind`], serve both domains — label
+//! sets ([`SetSystem`]: `Slabels` and level 1) and label-pair sets
+//! ([`PairSystem`]: level 2) — through one loop each:
 //! - **naive** — round-robin passes over all constraints until a full pass
 //!   changes nothing. The pass count is reported; this is the "Number of
 //!   iterations" column of Figure 8 (the final, changeless pass included,
@@ -17,22 +19,34 @@
 //!   variable inputs changed since it last ran is skipped — re-running
 //!   it could add nothing — but a skip still counts as one evaluation and
 //!   one meter tick, so pass counts, `evals` and budget cut points are
-//!   those of the plain loop that re-evaluates everything.
+//!   those of the plain loop that re-evaluates everything. The CLI
+//!   default.
 //! - **worklist** — seeds all constraints, then re-evaluates only the
-//!   constraints whose right-hand-side variables changed. Same solution;
-//!   used as the production path and measured by the solver-ablation
-//!   bench.
+//!   constraints whose right-hand-side variables changed. Same solution,
+//!   usually far fewer evaluations; it counts evaluations, not passes.
 //!
-//! Every solver also has a `_budgeted` variant taking a [`BudgetMeter`]:
+//! [`solve_set`] and [`solve_pair`] take the solver and a [`BudgetMeter`]:
 //! one meter tick per constraint evaluation, so a `max_iters` budget
 //! bounds the whole analysis across phases. Budget exhaustion returns
 //! the partial (under-approximate) solution tagged with its
 //! [`Exhaustion`] provenance; cancellation returns
-//! [`Fx10Error::Cancelled`].
+//! [`Fx10Error::Cancelled`]. [`solve_set_naive`] and [`solve_pair_naive`]
+//! are the unbudgeted naive solves.
 
 use crate::sets::{LabelSet, PairSet, SharedLabelSet};
 use fx10_robust::{BudgetMeter, Exhaustion, Fx10Error, Stop};
 use fx10_syntax::Label;
+use std::collections::VecDeque;
+
+/// Which fixed-point algorithm to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolverKind {
+    /// The paper's round-robin iteration; pass counts are reported.
+    Naive,
+    /// Worklist iteration (same solutions, fewer evaluations); reports
+    /// evaluations only.
+    Worklist,
+}
 
 /// A level-1 (or Slabels) set variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,225 +88,6 @@ pub struct SetSystem {
     pub universe: usize,
     /// The constraints.
     pub constraints: Vec<SetConstraint>,
-}
-
-/// The least solution of a [`SetSystem`] plus solver statistics.
-#[derive(Debug, Clone)]
-pub struct SetSolution {
-    /// Value per variable.
-    pub values: Vec<LabelSet>,
-    /// Round-robin passes (naive) or 0 (worklist).
-    pub passes: usize,
-    /// Individual constraint evaluations.
-    pub evals: usize,
-    /// `Some` when a budget cut the solve short: the values are a sound
-    /// under-approximation of the least solution.
-    pub exhausted: Option<Exhaustion>,
-}
-
-impl SetSolution {
-    /// Value of a variable.
-    #[inline]
-    pub fn get(&self, v: SetVar) -> &LabelSet {
-        &self.values[v.index()]
-    }
-
-    /// Total heap bytes of all values (space accounting).
-    pub fn bytes(&self) -> usize {
-        self.values.iter().map(|s| s.bytes()).sum()
-    }
-}
-
-fn eval_set_constraint(c: &SetConstraint, values: &mut [LabelSet]) -> bool {
-    let mut changed = false;
-    for t in &c.terms {
-        match t {
-            SetTerm::Const(s) => {
-                changed |= {
-                    let lhs = &mut values[c.lhs.index()];
-                    lhs.union_with(s)
-                }
-            }
-            SetTerm::Var(v) => {
-                if *v == c.lhs {
-                    continue; // x ⊇ x is vacuous
-                }
-                // Split borrows: lhs and rhs are distinct indices.
-                let (a, b) = (c.lhs.index(), v.index());
-                let (lo, hi) = (a.min(b), a.max(b));
-                let (left, right) = values.split_at_mut(hi);
-                let (lhs, rhs) = if a < b {
-                    (&mut left[lo], &right[0])
-                } else {
-                    (&mut right[0], &left[lo])
-                };
-                changed |= lhs.union_with(rhs);
-            }
-        }
-    }
-    changed
-}
-
-/// Fallback for the infallible wrappers: an unlimited meter cannot trip,
-/// so this is unreachable — but library paths never panic, so degrade to
-/// an empty, exhaustion-tagged solution instead.
-macro_rules! unreachable_partial {
-    ($sol:ident) => {
-        $sol {
-            values: Vec::new(),
-            passes: 0,
-            evals: 0,
-            exhausted: Some(Exhaustion::SolverIterations),
-        }
-    };
-}
-
-/// What the shared naive loop needs from a constraint.
-trait NaiveRule {
-    type Value;
-    /// Index of the constrained variable.
-    fn lhs(&self) -> usize;
-    /// Indices of the variables the right-hand side reads, without the
-    /// vacuous self-read `x ⊇ x`.
-    fn inputs(&self) -> impl Iterator<Item = usize> + '_;
-    /// Unions the right-hand side into the lhs; true when the lhs grew.
-    fn eval(&self, values: &mut [Self::Value]) -> bool;
-}
-
-impl NaiveRule for SetConstraint {
-    type Value = LabelSet;
-    fn lhs(&self) -> usize {
-        self.lhs.index()
-    }
-    fn inputs(&self) -> impl Iterator<Item = usize> + '_ {
-        self.terms.iter().filter_map(|t| match t {
-            SetTerm::Var(v) if *v != self.lhs => Some(v.index()),
-            _ => None,
-        })
-    }
-    fn eval(&self, values: &mut [LabelSet]) -> bool {
-        eval_set_constraint(self, values)
-    }
-}
-
-/// The round-robin loop of both naive solvers: passes over all
-/// constraints until a full pass changes nothing. Returns
-/// `(passes, evals, exhausted)`; the values are left in `values`.
-///
-/// A constraint is skipped when none of its variable inputs changed
-/// since it last ran: its constants went into the lhs on that run and
-/// the lhs only grows, so a re-run would add nothing. A skip still ticks
-/// the meter and counts as an evaluation, so `passes`, `evals` and the
-/// point where a budget cuts in are those of the loop that re-runs every
-/// constraint.
-fn naive_passes<C: NaiveRule>(
-    constraints: &[C],
-    values: &mut [C::Value],
-    meter: &mut BudgetMeter,
-) -> Result<(usize, usize, Option<Exhaustion>), Fx10Error> {
-    // Stamps are 1-based evaluation numbers; 0 means "never".
-    let mut changed_at = vec![0usize; values.len()];
-    let mut ran_at = vec![0usize; constraints.len()];
-    let mut passes = 0usize;
-    let mut evals = 0usize;
-    loop {
-        passes += 1;
-        let mut changed = false;
-        for (c, ran) in constraints.iter().zip(&mut ran_at) {
-            match meter.tick() {
-                Ok(()) => {}
-                Err(Stop::Exhausted(e)) => return Ok((passes, evals, Some(e))),
-                Err(stop @ Stop::Cancelled) => return Err(stop.into()),
-            }
-            evals += 1;
-            if *ran == 0 || c.inputs().any(|v| changed_at[v] > *ran) {
-                *ran = evals;
-                if c.eval(values) {
-                    changed_at[c.lhs()] = evals;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return Ok((passes, evals, None));
-        }
-    }
-}
-
-/// Naive round-robin solver; reports the pass count.
-pub fn solve_set_naive(sys: &SetSystem) -> SetSolution {
-    solve_set_naive_budgeted(sys, &mut BudgetMeter::unlimited())
-        .unwrap_or_else(|_| unreachable_partial!(SetSolution))
-}
-
-/// [`solve_set_naive`] under a budget; exhaustion returns the partial
-/// solution tagged, cancellation returns `Err`.
-pub fn solve_set_naive_budgeted(
-    sys: &SetSystem,
-    meter: &mut BudgetMeter,
-) -> Result<SetSolution, Fx10Error> {
-    let mut values = vec![LabelSet::empty(sys.universe); sys.n_vars];
-    let (passes, evals, exhausted) = naive_passes(&sys.constraints, &mut values, meter)?;
-    Ok(SetSolution {
-        values,
-        passes,
-        evals,
-        exhausted,
-    })
-}
-
-/// Worklist solver; same least solution, usually far fewer evaluations.
-pub fn solve_set_worklist(sys: &SetSystem) -> SetSolution {
-    solve_set_worklist_budgeted(sys, &mut BudgetMeter::unlimited())
-        .unwrap_or_else(|_| unreachable_partial!(SetSolution))
-}
-
-/// [`solve_set_worklist`] under a budget.
-pub fn solve_set_worklist_budgeted(
-    sys: &SetSystem,
-    meter: &mut BudgetMeter,
-) -> Result<SetSolution, Fx10Error> {
-    let mut values = vec![LabelSet::empty(sys.universe); sys.n_vars];
-    // deps[v] = constraints whose rhs mentions v.
-    let mut deps: Vec<Vec<u32>> = vec![Vec::new(); sys.n_vars];
-    for (ci, c) in sys.constraints.iter().enumerate() {
-        for t in &c.terms {
-            if let SetTerm::Var(v) = t {
-                deps[v.index()].push(ci as u32);
-            }
-        }
-    }
-    let mut on_queue = vec![true; sys.constraints.len()];
-    let mut queue: std::collections::VecDeque<u32> = (0..sys.constraints.len() as u32).collect();
-    let mut evals = 0usize;
-    let mut exhausted = None;
-    while let Some(ci) = queue.pop_front() {
-        match meter.tick() {
-            Ok(()) => {}
-            Err(Stop::Exhausted(e)) => {
-                exhausted = Some(e);
-                break;
-            }
-            Err(stop @ Stop::Cancelled) => return Err(stop.into()),
-        }
-        on_queue[ci as usize] = false;
-        let c = &sys.constraints[ci as usize];
-        evals += 1;
-        if eval_set_constraint(c, &mut values) {
-            for &d in &deps[c.lhs.index()] {
-                if !on_queue[d as usize] {
-                    on_queue[d as usize] = true;
-                    queue.push_back(d);
-                }
-            }
-        }
-    }
-    Ok(SetSolution {
-        values,
-        passes: 0,
-        evals,
-        exhausted,
-    })
 }
 
 /// A level-2 (pair) variable.
@@ -340,11 +135,11 @@ pub struct PairSystem {
     pub constraints: Vec<PairConstraint>,
 }
 
-/// The least solution of a [`PairSystem`] plus solver statistics.
+/// The least solution of a constraint system plus solver statistics.
 #[derive(Debug, Clone)]
-pub struct PairSolution {
+pub struct Solution<V> {
     /// Value per variable.
-    pub values: Vec<PairSet>,
+    pub values: Vec<V>,
     /// Round-robin passes (naive) or 0 (worklist).
     pub passes: usize,
     /// Individual constraint evaluations.
@@ -352,6 +147,25 @@ pub struct PairSolution {
     /// `Some` when a budget cut the solve short: the values are a sound
     /// under-approximation of the least solution.
     pub exhausted: Option<Exhaustion>,
+}
+
+/// The solution of a [`SetSystem`].
+pub type SetSolution = Solution<LabelSet>;
+
+/// The solution of a [`PairSystem`].
+pub type PairSolution = Solution<PairSet>;
+
+impl SetSolution {
+    /// Value of a variable.
+    #[inline]
+    pub fn get(&self, v: SetVar) -> &LabelSet {
+        &self.values[v.index()]
+    }
+
+    /// Total heap bytes of all values (space accounting).
+    pub fn bytes(&self) -> usize {
+        self.values.iter().map(|s| s.bytes()).sum()
+    }
 }
 
 impl PairSolution {
@@ -367,110 +181,176 @@ impl PairSolution {
     }
 }
 
-fn eval_pair_constraint(c: &PairConstraint, values: &mut [PairSet]) -> bool {
-    let mut changed = false;
-    for t in &c.terms {
-        match t {
-            PairTerm::Lcross(l, s) => {
-                changed |= values[c.lhs.index()].add_lcross(*l, s);
-            }
-            PairTerm::Symcross(a, b) => {
-                changed |= values[c.lhs.index()].add_symcross(a, b);
-            }
-            PairTerm::MVar(v) => {
-                if *v == c.lhs {
-                    continue;
-                }
-                let (a, b) = (c.lhs.index(), v.index());
-                let (lo, hi) = (a.min(b), a.max(b));
-                let (left, right) = values.split_at_mut(hi);
-                let (lhs, rhs) = if a < b {
-                    (&mut left[lo], &right[0])
-                } else {
-                    (&mut right[0], &left[lo])
-                };
-                changed |= lhs.union_with(rhs);
-            }
-        }
+/// `(&mut values[lhs], &values[rhs])` for distinct indices.
+fn split_pair<V>(values: &mut [V], lhs: usize, rhs: usize) -> (&mut V, &V) {
+    if lhs < rhs {
+        let (left, right) = values.split_at_mut(rhs);
+        (&mut left[lhs], &right[0])
+    } else {
+        let (left, right) = values.split_at_mut(lhs);
+        (&mut right[0], &left[rhs])
     }
-    changed
 }
 
-impl NaiveRule for PairConstraint {
+/// What the solver loops need from a constraint.
+trait Rule {
+    type Value;
+    /// Index of the constrained variable.
+    fn lhs(&self) -> usize;
+    /// Indices of the variables the right-hand side reads, in term
+    /// order. The self-read `x ⊇ x` is included: the worklist re-queues
+    /// a constraint that grew its own input, and its `evals` count that.
+    fn reads(&self) -> impl Iterator<Item = usize> + '_;
+    /// Unions the right-hand side into the lhs; true when the lhs grew.
+    fn eval(&self, values: &mut [Self::Value]) -> bool;
+}
+
+impl Rule for SetConstraint {
+    type Value = LabelSet;
+    fn lhs(&self) -> usize {
+        self.lhs.index()
+    }
+    fn reads(&self) -> impl Iterator<Item = usize> + '_ {
+        self.terms.iter().filter_map(|t| match t {
+            SetTerm::Var(v) => Some(v.index()),
+            SetTerm::Const(_) => None,
+        })
+    }
+    fn eval(&self, values: &mut [LabelSet]) -> bool {
+        let mut changed = false;
+        for t in &self.terms {
+            match t {
+                SetTerm::Const(s) => changed |= values[self.lhs.index()].union_with(s),
+                // x ⊇ x is vacuous.
+                SetTerm::Var(v) if *v == self.lhs => {}
+                SetTerm::Var(v) => {
+                    let (lhs, rhs) = split_pair(values, self.lhs.index(), v.index());
+                    changed |= lhs.union_with(rhs);
+                }
+            }
+        }
+        changed
+    }
+}
+
+impl Rule for PairConstraint {
     type Value = PairSet;
     fn lhs(&self) -> usize {
         self.lhs.index()
     }
-    fn inputs(&self) -> impl Iterator<Item = usize> + '_ {
+    fn reads(&self) -> impl Iterator<Item = usize> + '_ {
         self.terms.iter().filter_map(|t| match t {
-            PairTerm::MVar(v) if *v != self.lhs => Some(v.index()),
-            _ => None,
+            PairTerm::MVar(v) => Some(v.index()),
+            PairTerm::Lcross(..) | PairTerm::Symcross(..) => None,
         })
     }
     fn eval(&self, values: &mut [PairSet]) -> bool {
-        eval_pair_constraint(self, values)
-    }
-}
-
-/// Naive round-robin level-2 solver; reports the pass count.
-pub fn solve_pair_naive(sys: &PairSystem) -> PairSolution {
-    solve_pair_naive_budgeted(sys, &mut BudgetMeter::unlimited())
-        .unwrap_or_else(|_| unreachable_partial!(PairSolution))
-}
-
-/// [`solve_pair_naive`] under a budget.
-pub fn solve_pair_naive_budgeted(
-    sys: &PairSystem,
-    meter: &mut BudgetMeter,
-) -> Result<PairSolution, Fx10Error> {
-    let mut values = vec![PairSet::empty(sys.universe); sys.n_vars];
-    let (passes, evals, exhausted) = naive_passes(&sys.constraints, &mut values, meter)?;
-    Ok(PairSolution {
-        values,
-        passes,
-        evals,
-        exhausted,
-    })
-}
-
-/// Worklist level-2 solver.
-pub fn solve_pair_worklist(sys: &PairSystem) -> PairSolution {
-    solve_pair_worklist_budgeted(sys, &mut BudgetMeter::unlimited())
-        .unwrap_or_else(|_| unreachable_partial!(PairSolution))
-}
-
-/// [`solve_pair_worklist`] under a budget.
-pub fn solve_pair_worklist_budgeted(
-    sys: &PairSystem,
-    meter: &mut BudgetMeter,
-) -> Result<PairSolution, Fx10Error> {
-    let mut values = vec![PairSet::empty(sys.universe); sys.n_vars];
-    let mut deps: Vec<Vec<u32>> = vec![Vec::new(); sys.n_vars];
-    for (ci, c) in sys.constraints.iter().enumerate() {
-        for t in &c.terms {
-            if let PairTerm::MVar(v) = t {
-                deps[v.index()].push(ci as u32);
+        let mut changed = false;
+        for t in &self.terms {
+            match t {
+                PairTerm::Lcross(l, s) => changed |= values[self.lhs.index()].add_lcross(*l, s),
+                PairTerm::Symcross(a, b) => changed |= values[self.lhs.index()].add_symcross(a, b),
+                PairTerm::MVar(v) if *v == self.lhs => {}
+                PairTerm::MVar(v) => {
+                    let (lhs, rhs) = split_pair(values, self.lhs.index(), v.index());
+                    changed |= lhs.union_with(rhs);
+                }
             }
         }
+        changed
     }
-    let mut on_queue = vec![true; sys.constraints.len()];
-    let mut queue: std::collections::VecDeque<u32> = (0..sys.constraints.len() as u32).collect();
+}
+
+/// One meter tick: `Ok(Some(_))` when a budget ran out, `Err` on
+/// cancellation.
+fn tick(meter: &mut BudgetMeter) -> Result<Option<Exhaustion>, Fx10Error> {
+    match meter.tick() {
+        Ok(()) => Ok(None),
+        Err(Stop::Exhausted(e)) => Ok(Some(e)),
+        Err(stop @ Stop::Cancelled) => Err(stop.into()),
+    }
+}
+
+/// The naive solver: passes over all constraints until a full pass
+/// changes nothing.
+///
+/// A constraint is skipped when none of its variable inputs changed
+/// since it last ran: its constants went into the lhs on that run and
+/// the lhs only grows, so a re-run would add nothing. A skip still ticks
+/// the meter and counts as an evaluation, so `passes`, `evals` and the
+/// point where a budget cuts in are those of the loop that re-runs every
+/// constraint.
+fn naive<C: Rule>(
+    constraints: &[C],
+    mut values: Vec<C::Value>,
+    meter: &mut BudgetMeter,
+) -> Result<Solution<C::Value>, Fx10Error> {
+    // Stamps are 1-based evaluation numbers; 0 means "never".
+    let mut changed_at = vec![0usize; values.len()];
+    let mut ran_at = vec![0usize; constraints.len()];
+    let mut passes = 0usize;
+    let mut evals = 0usize;
+    loop {
+        passes += 1;
+        let mut changed = false;
+        for (c, ran) in constraints.iter().zip(&mut ran_at) {
+            if let Some(e) = tick(meter)? {
+                return Ok(Solution {
+                    values,
+                    passes,
+                    evals,
+                    exhausted: Some(e),
+                });
+            }
+            evals += 1;
+            let lhs = c.lhs();
+            if *ran == 0 || c.reads().any(|v| v != lhs && changed_at[v] > *ran) {
+                *ran = evals;
+                if c.eval(&mut values) {
+                    changed_at[lhs] = evals;
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            return Ok(Solution {
+                values,
+                passes,
+                evals,
+                exhausted: None,
+            });
+        }
+    }
+}
+
+/// The worklist solver: seeds every constraint in order, then re-queues
+/// the readers of each variable that grew.
+fn worklist<C: Rule>(
+    constraints: &[C],
+    mut values: Vec<C::Value>,
+    meter: &mut BudgetMeter,
+) -> Result<Solution<C::Value>, Fx10Error> {
+    // readers[v] = constraints whose rhs mentions v.
+    let mut readers: Vec<Vec<u32>> = vec![Vec::new(); values.len()];
+    for (ci, c) in constraints.iter().enumerate() {
+        for v in c.reads() {
+            readers[v].push(ci as u32);
+        }
+    }
+    let mut on_queue = vec![true; constraints.len()];
+    let mut queue: VecDeque<u32> = (0..constraints.len() as u32).collect();
     let mut evals = 0usize;
     let mut exhausted = None;
     while let Some(ci) = queue.pop_front() {
-        match meter.tick() {
-            Ok(()) => {}
-            Err(Stop::Exhausted(e)) => {
-                exhausted = Some(e);
-                break;
-            }
-            Err(stop @ Stop::Cancelled) => return Err(stop.into()),
+        if let Some(e) = tick(meter)? {
+            exhausted = Some(e);
+            break;
         }
         on_queue[ci as usize] = false;
-        let c = &sys.constraints[ci as usize];
+        let c = &constraints[ci as usize];
         evals += 1;
-        if eval_pair_constraint(c, &mut values) {
-            for &d in &deps[c.lhs.index()] {
+        if c.eval(&mut values) {
+            for &d in &readers[c.lhs()] {
                 if !on_queue[d as usize] {
                     on_queue[d as usize] = true;
                     queue.push_back(d);
@@ -478,12 +358,72 @@ pub fn solve_pair_worklist_budgeted(
             }
         }
     }
-    Ok(PairSolution {
+    Ok(Solution {
         values,
         passes: 0,
         evals,
         exhausted,
     })
+}
+
+/// Runs `kind` on `constraints` from the bottom `values`.
+fn run<C: Rule>(
+    constraints: &[C],
+    values: Vec<C::Value>,
+    kind: SolverKind,
+    meter: &mut BudgetMeter,
+) -> Result<Solution<C::Value>, Fx10Error> {
+    match kind {
+        SolverKind::Naive => naive(constraints, values, meter),
+        SolverKind::Worklist => worklist(constraints, values, meter),
+    }
+}
+
+/// Solves a set system with `kind` under `meter`; exhaustion returns the
+/// partial solution tagged, cancellation returns `Err`.
+pub fn solve_set(
+    sys: &SetSystem,
+    kind: SolverKind,
+    meter: &mut BudgetMeter,
+) -> Result<SetSolution, Fx10Error> {
+    let values = vec![LabelSet::empty(sys.universe); sys.n_vars];
+    run(&sys.constraints, values, kind, meter)
+}
+
+/// Solves a level-2 system with `kind` under `meter`; exhaustion returns
+/// the partial solution tagged, cancellation returns `Err`.
+pub fn solve_pair(
+    sys: &PairSystem,
+    kind: SolverKind,
+    meter: &mut BudgetMeter,
+) -> Result<PairSolution, Fx10Error> {
+    let values = vec![PairSet::empty(sys.universe); sys.n_vars];
+    run(&sys.constraints, values, kind, meter)
+}
+
+/// Fallback for the unbudgeted solves: an unlimited meter cannot trip,
+/// so this is unreachable — but library paths never panic, so degrade to
+/// an empty, exhaustion-tagged solution instead.
+fn unreachable_partial<V>(_: Fx10Error) -> Solution<V> {
+    Solution {
+        values: Vec::new(),
+        passes: 0,
+        evals: 0,
+        exhausted: Some(Exhaustion::SolverIterations),
+    }
+}
+
+/// The naive solve of a set system, unbudgeted; reports the pass count.
+pub fn solve_set_naive(sys: &SetSystem) -> SetSolution {
+    solve_set(sys, SolverKind::Naive, &mut BudgetMeter::unlimited())
+        .unwrap_or_else(unreachable_partial)
+}
+
+/// The naive solve of a level-2 system, unbudgeted; reports the pass
+/// count.
+pub fn solve_pair_naive(sys: &PairSystem) -> PairSolution {
+    solve_pair(sys, SolverKind::Naive, &mut BudgetMeter::unlimited())
+        .unwrap_or_else(unreachable_partial)
 }
 
 #[cfg(test)]
@@ -493,6 +433,10 @@ mod tests {
 
     fn c(labels: &[u32]) -> SharedLabelSet {
         Arc::new(LabelSet::from_labels(16, labels.iter().map(|&l| Label(l))))
+    }
+
+    fn worklist_pairs(sys: &PairSystem) -> PairSolution {
+        solve_pair(sys, SolverKind::Worklist, &mut BudgetMeter::unlimited()).unwrap()
     }
 
     fn sys_chain() -> SetSystem {
@@ -526,7 +470,7 @@ mod tests {
     fn naive_and_worklist_agree() {
         let sys = sys_chain();
         let a = solve_set_naive(&sys);
-        let b = solve_set_worklist(&sys);
+        let b = solve_set(&sys, SolverKind::Worklist, &mut BudgetMeter::unlimited()).unwrap();
         assert_eq!(a.values, b.values);
         assert_eq!(a.get(SetVar(2)).iter().count(), 2);
         assert!(a.get(SetVar(0)).contains(Label(1)), "cycle propagates back");
@@ -579,7 +523,7 @@ mod tests {
             ],
         };
         let a = solve_pair_naive(&sys);
-        let b = solve_pair_worklist(&sys);
+        let b = worklist_pairs(&sys);
         assert_eq!(a.values, b.values);
         assert_eq!(a.get(PairVar(1)).len(), 3); // (1,3), (2,3), (5,6)
         assert!(a.get(PairVar(1)).contains(Label(5), Label(6)));
@@ -609,5 +553,78 @@ mod tests {
         let s = solve_pair_naive(&sys);
         assert_eq!(s.get(PairVar(0)), s.get(PairVar(1)));
         assert_eq!(s.get(PairVar(0)).len(), 1);
+    }
+
+    fn chain_with_cycle() -> PairSystem {
+        // m0 → m1 → m2 with a cycle {m1, m2} and a constant seed at m2.
+        PairSystem {
+            n_vars: 4,
+            universe: 16,
+            constraints: vec![
+                PairConstraint {
+                    lhs: PairVar(0),
+                    terms: vec![
+                        PairTerm::MVar(PairVar(1)),
+                        PairTerm::Lcross(Label(0), c(&[5])),
+                    ],
+                },
+                PairConstraint {
+                    lhs: PairVar(1),
+                    terms: vec![PairTerm::MVar(PairVar(2))],
+                },
+                PairConstraint {
+                    lhs: PairVar(2),
+                    terms: vec![
+                        PairTerm::MVar(PairVar(1)),
+                        PairTerm::Symcross(c(&[1, 2]), c(&[3])),
+                    ],
+                },
+                // m3 independent (parallel branch).
+                PairConstraint {
+                    lhs: PairVar(3),
+                    terms: vec![PairTerm::Lcross(Label(9), c(&[10, 11]))],
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn cyclic_chain_naive_matches_worklist() {
+        let sys = chain_with_cycle();
+        let naive = solve_pair_naive(&sys);
+        let wl = worklist_pairs(&sys);
+        assert_eq!(naive.values, wl.values);
+        // The cycle propagated the symcross both ways and up to m0.
+        assert!(wl.get(PairVar(0)).contains(Label(1), Label(3)));
+        assert!(wl.get(PairVar(1)).contains(Label(2), Label(3)));
+        assert!(wl.get(PairVar(3)).contains(Label(9), Label(11)));
+    }
+
+    #[test]
+    fn worklist_converges_on_a_deep_chain_without_recursion() {
+        // m_v ⊇ m_{v+1} for a 20,000-long chain seeded at its far end,
+        // listed against dependency order: the worklist walks it back
+        // one constraint at a time, iteratively.
+        let n = 20_000usize;
+        let constraints = (0..n as u32)
+            .map(|v| PairConstraint {
+                lhs: PairVar(v),
+                terms: vec![if v + 1 < n as u32 {
+                    PairTerm::MVar(PairVar(v + 1))
+                } else {
+                    PairTerm::Lcross(Label(0), c(&[1]))
+                }],
+            })
+            .collect();
+        let sys = PairSystem {
+            n_vars: n,
+            universe: 16,
+            constraints,
+        };
+        let wl = worklist_pairs(&sys);
+        assert!(wl.exhausted.is_none());
+        assert!(wl.values.iter().all(|m| m.contains(Label(0), Label(1))));
+        // One seeding sweep, then one re-run per link back up the chain.
+        assert_eq!(wl.evals, 2 * n - 1);
     }
 }

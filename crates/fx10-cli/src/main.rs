@@ -88,7 +88,9 @@
 //! selectors match exact codes, dash-boundary groups (`race` matches
 //! `race-write-write`), or `all`. Unknown selectors are usage errors.
 
-use fx10_core::{analyze_with_budget, analyze_with_fallback, AnalysisPath, Supervisor};
+use fx10_core::{
+    analyze_with_budget, analyze_with_fallback, AnalysisPath, AnalysisStats, SolverKind, Supervisor,
+};
 use fx10_robust::{Budget, CancelToken, Exhaustion, FaultPlan, Fx10Error, PanicFault};
 use fx10_semantics::{
     explore_parallel_durable, run_budgeted, CheckpointSpec, Durability, ExploreConfig,
@@ -127,7 +129,7 @@ fn usage() -> ExitCode {
            --witness-states N                           witness search cap, 0 = off (lint)\n\
            --domain <const|interval|parity>             abstract domain (absint/lint/race)\n\
            --ci                                         context-insensitive analysis\n\
-           --solver <naive|worklist|scc|scc-par>        fixed-point algorithm\n\
+           --solver <naive|worklist>                    fixed-point algorithm\n\
            --places                                     same-place MHP refinement (x10)\n\
            --budget-states N                            distinct-state budget (exit 3 when cut)\n\
            --budget-iters N                             solver constraint-evaluation budget\n\
@@ -158,7 +160,7 @@ struct Opts {
     max_states: usize,
     jobs: usize,
     ci: bool,
-    solver: fx10_core::analysis::SolverKind,
+    solver: SolverKind,
     places: bool,
     budget_states: Option<usize>,
     budget_iters: Option<u64>,
@@ -409,7 +411,7 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<&'static str>), String> {
             .map(|n| n.get())
             .unwrap_or(1),
         ci: false,
-        solver: fx10_core::analysis::SolverKind::Naive,
+        solver: SolverKind::Naive,
         places: false,
         budget_states: None,
         budget_iters: None,
@@ -668,14 +670,8 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<&'static str>), String> {
                 i += 1;
                 let v = args.get(i).ok_or("--solver needs a value")?;
                 o.solver = match v.as_str() {
-                    "naive" => fx10_core::analysis::SolverKind::Naive,
-                    "worklist" => fx10_core::analysis::SolverKind::Worklist,
-                    "scc" => fx10_core::analysis::SolverKind::Scc,
-                    "scc-par" => fx10_core::analysis::SolverKind::SccParallel(
-                        std::thread::available_parallelism()
-                            .map(|n| n.get())
-                            .unwrap_or(4),
-                    ),
+                    "naive" => SolverKind::Naive,
+                    "worklist" => SolverKind::Worklist,
                     other => return Err(format!("unknown solver `{other}`")),
                 };
             }
@@ -1186,7 +1182,7 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                 }
                 writeln!(
                     out,
-                    "{} analysis: {} constraint(s), iterations S/1/2 = {}/{}/{}",
+                    "{} analysis: {} constraint(s), {}",
                     match a.mode() {
                         fx10_core::Mode::ContextSensitive => "context-sensitive",
                         fx10_core::Mode::ContextInsensitive { .. } => "context-insensitive",
@@ -1194,9 +1190,7 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                     a.stats.slabels_constraints
                         + a.stats.level1_constraints
                         + a.stats.level2_constraints,
-                    a.stats.slabels_passes,
-                    a.stats.level1_passes,
-                    a.stats.level2_passes
+                    solver_work("iterations S/1/2 = ", opts.solver, &a.stats)
                 )?;
                 writeln!(out, "MHP pairs ({}):", pairs.len())?;
                 for &(x, y) in &pairs {
@@ -1579,13 +1573,11 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                 p.async_stats()
             );
             println!(
-                "constraints S/1/2 = {}/{}/{}, iterations = {}/{}/{}, {:.1} ms",
+                "constraints S/1/2 = {}/{}/{}, {}, {:.1} ms",
                 a.stats.slabels_constraints,
                 a.stats.level1_constraints,
                 a.stats.level2_constraints,
-                a.stats.slabels_passes,
-                a.stats.level1_passes,
-                a.stats.level2_passes,
+                solver_work("iterations = ", opts.solver, &a.stats),
                 a.stats.millis
             );
             let rep = fx10_frontend::async_pairs_condensed(&a);
@@ -1630,13 +1622,11 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
                 )?;
                 let rep = fx10_frontend::async_pairs_condensed(&a);
                 println!(
-                    "{:<12} {:>8.1} ms  {:>7.2} MB  iters {}/{}/{}  pairs {}/{}/{}/{}{}",
+                    "{:<12} {:>8.1} ms  {:>7.2} MB  {}  pairs {}/{}/{}/{}{}",
                     name,
                     a.stats.millis,
                     a.stats.bytes as f64 / 1e6,
-                    a.stats.slabels_passes,
-                    a.stats.level1_passes,
-                    a.stats.level2_passes,
+                    solver_work("iters ", opts.solver, &a.stats),
                     rep.total(),
                     rep.self_pairs,
                     rep.same_method,
@@ -1653,6 +1643,18 @@ fn run_command(cmd: &str, target: &str, opts: &Opts) -> Result<Verdict, Fx10Erro
             Ok(Verdict::of(cut))
         }
         other => Err(Fx10Error::Validate(format!("unknown command `{other}`"))),
+    }
+}
+
+/// An analysis's solver work after `label`: the Figure 8 pass triple
+/// S/1/2 under the naive solver; under the worklist, which counts no
+/// passes, `evals N` instead.
+fn solver_work(label: &str, solver: SolverKind, s: &AnalysisStats) -> String {
+    if solver == SolverKind::Naive {
+        let (a, b, c) = (s.slabels_passes, s.level1_passes, s.level2_passes);
+        format!("{label}{a}/{b}/{c}")
+    } else {
+        format!("evals {}", s.evals)
     }
 }
 

@@ -179,7 +179,7 @@ fn bench_runs_a_named_benchmark() {
 #[test]
 fn solver_variants_agree_via_cli() {
     let mut outputs = Vec::new();
-    for solver in ["naive", "worklist", "scc", "scc-par"] {
+    for solver in ["naive", "worklist"] {
         let out = fx10(&["mhp", "programs/example22.fx10", "--solver", solver]);
         assert!(out.status.success(), "{solver}: {out:?}");
         // Compare only the pair lines (timings differ).
@@ -191,6 +191,46 @@ fn solver_variants_agree_via_cli() {
         outputs.push(pairs);
     }
     assert!(outputs.windows(2).all(|w| w[0] == w[1]));
+}
+
+/// The worklist counts evaluations, not passes: its runs print
+/// `evals N` where the naive solver prints the pass triple. The counts
+/// are pinned: a budget of exactly N evaluations completes, N - 1 cuts.
+#[test]
+fn worklist_runs_print_evals_not_passes() {
+    let out = fx10(&["mhp", "programs/example22.fx10", "--solver", "worklist"]);
+    assert_eq!(code(&out), 0, "{out:?}");
+    let s = stdout(&out);
+    assert_eq!(
+        s.lines().next().unwrap(),
+        "context-sensitive analysis: 46 constraint(s), evals 62"
+    );
+    let naive = stdout(&fx10(&["mhp", "programs/example22.fx10"]));
+    assert_eq!(
+        naive.lines().next().unwrap(),
+        "context-sensitive analysis: 46 constraint(s), iterations S/1/2 = 3/4/2"
+    );
+    assert_eq!(
+        s.lines().skip(1).collect::<Vec<_>>(),
+        naive.lines().skip(1).collect::<Vec<_>>()
+    );
+    for (budget, want) in [("62", 0), ("61", 3)] {
+        let argv = [
+            "mhp",
+            "programs/example22.fx10",
+            "--solver",
+            "worklist",
+            "--budget-iters",
+            budget,
+        ];
+        assert_eq!(code(&fx10(&argv)), want, "--budget-iters {budget}");
+    }
+
+    let out = fx10(&["bench", "mapreduce", "--solver", "worklist"]);
+    assert_eq!(code(&out), 0, "{out:?}");
+    let s = stdout(&out);
+    assert!(s.contains(" MB  evals 200  pairs 1/1/0/0"), "{s}");
+    assert!(!s.contains("iters"), "{s}");
 }
 
 #[test]
@@ -215,15 +255,11 @@ fn usage_errors_exit_2() {
         2
     );
     assert_eq!(code(&fx10(&["frobnicate", "x"])), 2);
-    assert_eq!(
-        code(&fx10(&[
-            "mhp",
-            "programs/example22.fx10",
-            "--solver",
-            "magic"
-        ])),
-        2
-    );
+    for unknown in ["magic", "scc"] {
+        let out = fx10(&["mhp", "programs/example22.fx10", "--solver", unknown]);
+        assert_eq!(code(&out), 2, "{unknown}");
+        assert!(stderr(&out).contains("unknown solver"), "{}", stderr(&out));
+    }
     assert_eq!(
         code(&fx10(&[
             "mhp",
@@ -338,7 +374,7 @@ fn every_command_survives_a_one_millisecond_deadline() {
 
 #[test]
 fn solver_choices_all_respect_budgets() {
-    for solver in ["naive", "worklist", "scc", "scc-par"] {
+    for solver in ["naive", "worklist"] {
         let out = fx10(&[
             "mhp",
             "programs/example22.fx10",
@@ -507,7 +543,7 @@ fn known_flag_on_the_wrong_subcommand_exits_2() {
         &["explore", "programs/fork_join.fx10", "--sched", "leftmost"],
         &["explore", "programs/fork_join.fx10", "--ladder"],
         &["explore", "programs/fork_join.fx10", "--ci"],
-        &["run", "programs/fork_join.fx10", "--solver", "scc"],
+        &["run", "programs/fork_join.fx10", "--solver", "worklist"],
         &["race", "programs/racey.fx10", "--places"],
         &["check", "programs/example22.fx10", "--fallback-ci"],
     ];

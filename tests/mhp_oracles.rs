@@ -20,8 +20,8 @@ use fx10::analysis::gen::{generate, simplify, Mode};
 use fx10::analysis::sets::{LabelSet, PairSet};
 use fx10::analysis::slabels::{compute_slabels, slabels_system};
 use fx10::analysis::solver::{
-    solve_pair_naive_budgeted, solve_set_naive, solve_set_naive_budgeted, PairConstraint,
-    PairSystem, PairTerm, SetConstraint, SetSystem, SetTerm,
+    solve_pair, solve_set, solve_set_naive, PairConstraint, PairSystem, PairTerm, SetConstraint,
+    SetSystem, SetTerm, SolverKind,
 };
 use fx10::analysis::{analyze, analyze_ci, Analysis, StmtIndex};
 use fx10::robust::{Budget, BudgetMeter, CancelToken, Exhaustion, Fx10Error, Stop};
@@ -197,7 +197,7 @@ proptest! {
                     what,
                     pick,
                     |m| {
-                        let s = solve_set_naive_budgeted(sys, m).unwrap();
+                        let s = solve_set(sys, SolverKind::Naive, m).unwrap();
                         (s.values, s.passes, s.evals, s.exhausted)
                     },
                     |m| reference_set_naive(sys, m),
@@ -207,7 +207,7 @@ proptest! {
                 "level-2",
                 pick,
                 |m| {
-                    let s = solve_pair_naive_budgeted(&l2, m).unwrap();
+                    let s = solve_pair(&l2, SolverKind::Naive, m).unwrap();
                     (s.values, s.passes, s.evals, s.exhausted)
                 },
                 |m| reference_pair_naive(&l2, m),
