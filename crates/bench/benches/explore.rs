@@ -14,7 +14,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fx10_bench::fanout;
-use fx10_semantics::{explore, explore_parallel, ExploreConfig};
+use fx10_robust::{Budget, CancelToken, FaultPlan};
+use fx10_semantics::{explore, explore_parallel_durable, Durability, ExploreConfig};
 use fx10_syntax::{examples, Program};
 
 fn bench_explore(c: &mut Criterion) {
@@ -45,11 +46,15 @@ fn bench_explore(c: &mut Criterion) {
                 p,
                 |b, p| {
                     b.iter(|| {
-                        std::hint::black_box(explore_parallel(
+                        std::hint::black_box(explore_parallel_durable(
                             p,
                             &[],
                             ExploreConfig::default(),
                             jobs,
+                            Budget::unlimited(),
+                            &CancelToken::new(),
+                            &FaultPlan::none(),
+                            Durability::default(),
                         ))
                     })
                 },

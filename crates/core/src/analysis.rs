@@ -810,7 +810,14 @@ impl Supervisor {
         trace.push("parallel-explore retries exhausted; descending to sequential-explore".into());
         cancel.check()?;
         let seq = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            fx10_semantics::explore_budgeted(p, input, self.explore_config, self.budget, cancel)
+            fx10_semantics::explore_budgeted(
+                p,
+                input,
+                self.explore_config,
+                self.budget,
+                cancel,
+                None,
+            )
         }));
         match seq {
             Ok(Ok(e)) if !e.truncated => {

@@ -17,7 +17,7 @@ use crate::domain::Domain;
 use crate::oracle::FeasibilityOracle;
 use fx10_core::analyze;
 use fx10_robust::{Budget, CancelToken, Fx10Error};
-use fx10_semantics::{explore_sampled, ExploreConfig};
+use fx10_semantics::{explore_budgeted, ExploreConfig};
 use fx10_syntax::Program;
 
 /// The outcome of one gate run (one program, one input, one domain).
@@ -97,7 +97,7 @@ pub fn soundness_gate(
             ));
         }
     };
-    let exploration = explore_sampled(
+    let exploration = explore_budgeted(
         p,
         input,
         ExploreConfig {
@@ -106,7 +106,7 @@ pub fn soundness_gate(
         },
         Budget::unlimited(),
         &CancelToken::new(),
-        &mut sink,
+        Some(&mut sink),
     )?;
 
     let report = oracle.prune(&analysis);

@@ -699,9 +699,7 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<&'static str>), String> {
         return Err("--secret-file authenticates socket workers; it requires --listen".to_string());
     }
     if o.reconnects.is_some() && o.listen.is_none() {
-        return Err(
-            "--reconnects budgets socket reconnections; it requires --listen".to_string(),
-        );
+        return Err("--reconnects budgets socket reconnections; it requires --listen".to_string());
     }
     Ok((o, seen))
 }
@@ -1711,9 +1709,10 @@ fn parse_worker_net_args(args: &[String]) -> Result<fx10_semantics::NetWorkerOpt
             "--connect" => {
                 i += 1;
                 let v = args.get(i).ok_or("--connect needs a value")?;
-                addr = Some(v.parse().map_err(|_| {
-                    format!("bad --connect address `{v}` (expected HOST:PORT)")
-                })?);
+                addr =
+                    Some(v.parse().map_err(|_| {
+                        format!("bad --connect address `{v}` (expected HOST:PORT)")
+                    })?);
             }
             "--slot" => {
                 i += 1;

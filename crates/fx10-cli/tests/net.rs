@@ -228,11 +228,7 @@ fn tcp_killed_worker_restarts_from_checkpoint() {
 fn spawn_supervisor(
     extra_args: &[&str],
     envs: &[(&str, &str)],
-) -> (
-    std::process::Child,
-    u16,
-    std::thread::JoinHandle<String>,
-) {
+) -> (std::process::Child, u16, std::thread::JoinHandle<String>) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_fx10"));
     cmd.current_dir(repo_root())
         .args([
@@ -282,8 +278,7 @@ fn foreign_and_skewed_clients_are_rejected_while_the_run_completes() {
     let secret_path = format!("{}.secret", temp_dir_for("secret"));
     std::fs::write(&secret_path, b"wide-open-loopback\n").unwrap();
 
-    let (mut child, port, reader) =
-        spawn_supervisor(&["--secret-file", &secret_path], &[]);
+    let (mut child, port, reader) = spawn_supervisor(&["--secret-file", &secret_path], &[]);
     let addr = format!("127.0.0.1:{port}");
 
     // Wrong shared secret: the full client handshake runs, the MAC does
@@ -359,47 +354,94 @@ fn listen_flag_misuse_exits_2() {
     // --listen without --shards.
     let out = fx10(&["explore", WIDE, "--listen", "127.0.0.1:0"]);
     assert_eq!(code(&out), 2, "{out:?}");
-    assert!(stderr(&out).contains("requires --shards"), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("requires --shards"),
+        "{}",
+        stderr(&out)
+    );
 
     // A value that is not HOST:PORT.
     let out = fx10(&["explore", WIDE, "--shards", "2", "--listen", "nonsense"]);
     assert_eq!(code(&out), 2, "{out:?}");
-    assert!(stderr(&out).contains("bad --listen address"), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("bad --listen address"),
+        "{}",
+        stderr(&out)
+    );
 
     // A missing value.
     let out = fx10(&["explore", WIDE, "--shards", "2", "--listen"]);
     assert_eq!(code(&out), 2, "{out:?}");
 
     // --secret-file and --reconnects without --listen.
-    let out = fx10(&["explore", WIDE, "--shards", "2", "--secret-file", "/dev/null"]);
+    let out = fx10(&[
+        "explore",
+        WIDE,
+        "--shards",
+        "2",
+        "--secret-file",
+        "/dev/null",
+    ]);
     assert_eq!(code(&out), 2, "{out:?}");
-    assert!(stderr(&out).contains("requires --listen"), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("requires --listen"),
+        "{}",
+        stderr(&out)
+    );
     let out = fx10(&["explore", WIDE, "--shards", "2", "--reconnects", "3"]);
     assert_eq!(code(&out), 2, "{out:?}");
-    assert!(stderr(&out).contains("requires --listen"), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("requires --listen"),
+        "{}",
+        stderr(&out)
+    );
 
     // A reconnect budget that is not a number.
     let out = fx10(&[
-        "explore", WIDE, "--shards", "2", "--listen", "127.0.0.1:0", "--reconnects", "many",
+        "explore",
+        WIDE,
+        "--shards",
+        "2",
+        "--listen",
+        "127.0.0.1:0",
+        "--reconnects",
+        "many",
     ]);
     assert_eq!(code(&out), 2, "{out:?}");
 
     // --connect is the worker's flag, valid on no public command.
     let out = fx10(&["explore", WIDE, "--connect", "127.0.0.1:9"]);
     assert_eq!(code(&out), 2, "{out:?}");
-    assert!(stderr(&out).contains("is not valid for"), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("is not valid for"),
+        "{}",
+        stderr(&out)
+    );
 
     // --listen on a non-exploring command: the cross-flag contract
     // (`--listen` needs `--shards`) fires first when --shards is absent,
     // and the per-command audit rejects the pair when it is present.
     let out = fx10(&["mhp", "programs/example22.fx10", "--listen", "127.0.0.1:0"]);
     assert_eq!(code(&out), 2, "{out:?}");
-    assert!(stderr(&out).contains("requires --shards"), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("requires --shards"),
+        "{}",
+        stderr(&out)
+    );
     let out = fx10(&[
-        "mhp", "programs/example22.fx10", "--shards", "2", "--listen", "127.0.0.1:0",
+        "mhp",
+        "programs/example22.fx10",
+        "--shards",
+        "2",
+        "--listen",
+        "127.0.0.1:0",
     ]);
     assert_eq!(code(&out), 2, "{out:?}");
-    assert!(stderr(&out).contains("is not valid for"), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("is not valid for"),
+        "{}",
+        stderr(&out)
+    );
 }
 
 /// The network chaos hooks are rejected loudly wherever they cannot
@@ -417,16 +459,16 @@ fn net_chaos_hooks_are_gated_on_the_socket_transport() {
         for cmd in ["parse", "mhp", "lint"] {
             let out = fx10_env(&[cmd, "programs/example22.fx10"], &[(var, val)]);
             assert_eq!(code(&out), 2, "{var} on {cmd}: {out:?}");
-            assert!(stderr(&out).contains(var), "{var} on {cmd}: {}", stderr(&out));
+            assert!(
+                stderr(&out).contains(var),
+                "{var} on {cmd}: {}",
+                stderr(&out)
+            );
         }
         // On an exploring command without the socket transport.
         let out = fx10_env(&["explore", WIDE, "--shards", "2"], &[(var, val)]);
         assert_eq!(code(&out), 2, "{var} without --listen: {out:?}");
-        assert!(
-            stderr(&out).contains("--listen"),
-            "{var}: {}",
-            stderr(&out)
-        );
+        assert!(stderr(&out).contains("--listen"), "{var}: {}", stderr(&out));
     }
 }
 
@@ -458,7 +500,14 @@ fn malformed_net_hooks_exit_2() {
 #[test]
 fn shard_worker_net_mode_misuse_and_dead_port() {
     // Unknown option.
-    let out = fx10(&["shard-worker", "--connect", "127.0.0.1:9", "--slot", "0", "--bogus"]);
+    let out = fx10(&[
+        "shard-worker",
+        "--connect",
+        "127.0.0.1:9",
+        "--slot",
+        "0",
+        "--bogus",
+    ]);
     assert_eq!(code(&out), 2, "{out:?}");
     assert!(stderr(&out).contains("--bogus"), "{}", stderr(&out));
 
@@ -470,11 +519,21 @@ fn shard_worker_net_mode_misuse_and_dead_port() {
     // A bad address.
     let out = fx10(&["shard-worker", "--connect", "nowhere", "--slot", "0"]);
     assert_eq!(code(&out), 2, "{out:?}");
-    assert!(stderr(&out).contains("bad --connect address"), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("bad --connect address"),
+        "{}",
+        stderr(&out)
+    );
 
     // Nobody listening on the port and no reconnect budget: exit 1.
     let out = fx10(&[
-        "shard-worker", "--connect", "127.0.0.1:1", "--slot", "0", "--reconnects", "0",
+        "shard-worker",
+        "--connect",
+        "127.0.0.1:1",
+        "--slot",
+        "0",
+        "--reconnects",
+        "0",
     ]);
     assert_eq!(code(&out), 1, "{out:?}");
 }

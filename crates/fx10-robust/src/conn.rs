@@ -118,9 +118,7 @@ fn handshake_err(message: impl Into<String>) -> Fx10Error {
 fn expect_frame(io: &mut impl Read, max_frame: usize, want: &str) -> Result<WireMsg, Fx10Error> {
     match ipc::read_frame(io, max_frame) {
         Ok(Some(m)) => Ok(m),
-        Ok(None) => Err(handshake_err(format!(
-            "peer hung up before sending {want}"
-        ))),
+        Ok(None) => Err(handshake_err(format!("peer hung up before sending {want}"))),
         Err(e) => Err(handshake_err(format!("while awaiting {want}: {e}"))),
     }
 }
@@ -198,7 +196,10 @@ pub fn server_handshake(
         return Err(reject(
             io,
             ipc::reject::SLOT,
-            &format!("slot {} does not exist in a {}-shard fleet", hello.slot, cfg.shards),
+            &format!(
+                "slot {} does not exist in a {}-shard fleet",
+                hello.slot, cfg.shards
+            ),
         ));
     }
     if hello.fingerprint != 0 && hello.fingerprint != cfg.fingerprint {
@@ -393,7 +394,11 @@ pub struct ConnSupervisor {
 
 impl ConnSupervisor {
     /// A supervisor with no connection yet.
-    pub fn new(heartbeat_timeout: Duration, retransmit_after: Duration, max_reconnects: u32) -> Self {
+    pub fn new(
+        heartbeat_timeout: Duration,
+        retransmit_after: Duration,
+        max_reconnects: u32,
+    ) -> Self {
         ConnSupervisor {
             heartbeat_timeout,
             retransmit_after,
@@ -807,9 +812,8 @@ mod tests {
         ] {
             let (mut server, mut client) = duplex();
             let c = cfg(b"");
-            let t = thread::spawn(move || {
-                client_handshake(&mut client, b"", &h, ipc::MAX_FRAME_LEN)
-            });
+            let t =
+                thread::spawn(move || client_handshake(&mut client, b"", &h, ipc::MAX_FRAME_LEN));
             let err = server_handshake(&mut server, &c, 1).unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
             assert!(t.join().unwrap().is_err());
@@ -852,11 +856,7 @@ mod tests {
 
     #[test]
     fn conn_supervisor_window_survives_reconnect_but_not_respawn() {
-        let mut c = ConnSupervisor::new(
-            Duration::from_millis(300),
-            Duration::from_millis(100),
-            3,
-        );
+        let mut c = ConnSupervisor::new(Duration::from_millis(300), Duration::from_millis(100), 3);
         c.on_spawn();
         assert_eq!(c.on_attach(11), Attach::Fresh);
         assert!(c.admit(5));

@@ -36,7 +36,9 @@
 //! successful round proves no work is in flight anywhere.
 
 use crate::backoff::{RestartPolicy, XorShift64};
-use crate::conn::{self, Attach, ChaosLink, ConnSupervisor, FaultyReceiver, FaultySender, NetChaos};
+use crate::conn::{
+    self, Attach, ChaosLink, ConnSupervisor, FaultyReceiver, FaultySender, NetChaos,
+};
 use crate::ipc::{self, kind, Transport, WireMsg};
 use crate::{CancelToken, Exhaustion, Fx10Error};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -177,7 +179,10 @@ enum PumpEvent {
         peer: String,
     },
     /// A connection that failed the handshake (already closed).
-    Rejected { peer: String, why: String },
+    Rejected {
+        peer: String,
+        why: String,
+    },
 }
 
 struct Slot {
@@ -445,7 +450,11 @@ where
                 "worker {slot} reconnected from {peer} (conn {gen}, replaying {unacked} unacked frame(s))"
             ),
         });
-        self.pump_transport(slot, gen, Box::new(ipc::TcpTransport::new(stream, max_frame)));
+        self.pump_transport(
+            slot,
+            gen,
+            Box::new(ipc::TcpTransport::new(stream, max_frame)),
+        );
         self.replay_preamble(slot);
         // A FINISH (or its RESULT) in flight when the old connection
         // died is gone: re-issue it on the fresh transport rather than
@@ -613,10 +622,7 @@ where
             kind::BATCH => {
                 // Ack receipt immediately (and re-ack redeliveries —
                 // the worker retransmits until acked on lossy links).
-                self.enqueue(
-                    slot,
-                    &WireMsg::new(kind::ACK, 0, ipc::ack_body(&[msg.seq])),
-                );
+                self.enqueue(slot, &WireMsg::new(kind::ACK, 0, ipc::ack_body(&[msg.seq])));
                 if !self.slots[slot].conn.admit(msg.seq) {
                     // A redelivery of a batch already routed: dropping
                     // it here is what keeps terminals single-counted.
@@ -969,8 +975,8 @@ impl ShardSupervisor {
                     }
                     if s.conn.heartbeat_expired(s.last_heard) {
                         let silent_ms = s.last_heard.elapsed().as_millis();
-                        if let Err(e) = fleet
-                            .conn_lost(slot, &format!("heartbeat silent for {silent_ms}ms"))
+                        if let Err(e) =
+                            fleet.conn_lost(slot, &format!("heartbeat silent for {silent_ms}ms"))
                         {
                             return finish(fleet, Err(e));
                         }
@@ -981,9 +987,7 @@ impl ShardSupervisor {
                             // Gentler cadence than work retransmission:
                             // every duplicate FINISH elicits a full
                             // (possibly huge) RESULT re-send.
-                            let due = s
-                                .finish_tx
-                                .map_or(true, |t| t.elapsed() >= FINISH_RETRANSMIT);
+                            let due = s.finish_tx.is_none_or(|t| t.elapsed() >= FINISH_RETRANSMIT);
                             if due {
                                 fleet.slots[slot].conn.mark_tx();
                                 fleet.slots[slot].finish_tx = Some(Instant::now());

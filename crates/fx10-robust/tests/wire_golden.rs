@@ -182,7 +182,9 @@ fn every_golden_decodes_back_to_its_message() {
             .unwrap_or_else(|| panic!("{name}: golden read as EOF"));
         assert_eq!(got, msg, "{name}: decoded message drifted");
         assert!(
-            ipc::read_frame(&mut r, ipc::MAX_FRAME_LEN).unwrap().is_none(),
+            ipc::read_frame(&mut r, ipc::MAX_FRAME_LEN)
+                .unwrap()
+                .is_none(),
             "{name}: trailing bytes after the golden frame"
         );
     }
@@ -236,7 +238,11 @@ fn golden_bodies_parse_through_their_codecs() {
     let (proto, nonce, fp) = ipc::parse_challenge_body(&by_name["CHALLENGE"].body).unwrap();
     assert_eq!(
         (proto, nonce, fp),
-        (ipc::PROTOCOL_VERSION, 0xA5A5_5A5A_A5A5_5A5A, 0x1122_3344_5566_7788)
+        (
+            ipc::PROTOCOL_VERSION,
+            0xA5A5_5A5A_A5A5_5A5A,
+            0x1122_3344_5566_7788
+        )
     );
     assert_eq!(
         ipc::parse_auth_body(&by_name["AUTH"].body).unwrap(),

@@ -19,16 +19,22 @@
 //!
 //! ## Two engines, one contract
 //!
-//! - The **sequential reference** ([`explore_budgeted`]) is a cloned-tree
+//! - The **sequential reference** ([`explore_budgeted`], with [`explore`]
+//!   as its infallible unbudgeted convenience) is a cloned-tree
 //!   breadth-first search — deliberately simple, the oracle the
-//!   differential tests trust.
-//! - The **interned engine** ([`explore_parallel_budgeted`],
-//!   [`explore_interned_budgeted`]) hash-conses every statement, tree and
-//!   array into 32-bit ids (see [`crate::intern`]) so a state is one
-//!   packed `u64`, and drains the frontier with *work-stealing* workers:
-//!   each worker owns a deque (push/pop at the back), steals the front
-//!   half of a victim's deque when empty, and all workers share one
+//!   differential tests trust. An optional sink samples every visited
+//!   state for the abstract-interpretation gate.
+//! - The **interned engine** ([`explore_parallel_durable`]) hash-conses
+//!   every statement, tree and array into 32-bit ids (see
+//!   [`crate::intern`]) so a state is one packed `u64`, and drains the
+//!   frontier with *work-stealing* workers: each worker owns a deque
+//!   (push/pop at the back; the seed starts on worker 0's), steals the
+//!   front half of a victim's deque when empty, and all workers share one
 //!   [`SharedMeter`] so a global budget bounds the whole crew.
+//!
+//! There is one entry point per engine: callers spell out the defaults
+//! they want (an unlimited [`Budget`], [`FaultPlan::none`],
+//! [`Durability::default`], one worker, `None` for the sink).
 //!
 //! Both engines deduplicate states by **canonical `∥`-form** by default
 //! ([`ExploreConfig::canonical_dedup`]): `T₁ ∥ T₂` and `T₂ ∥ T₁` are the
@@ -42,9 +48,9 @@
 //!
 //! ## Robustness
 //!
-//! The budgeted entry points accept a [`Budget`] (state cap, wall-clock
-//! deadline, peak visited-set memory), a [`CancelToken`], and — for the
-//! parallel engine — a [`FaultPlan`]. Budget exhaustion returns a
+//! Both engines accept a [`Budget`] (state cap, wall-clock deadline, peak
+//! visited-set memory), a [`CancelToken`], and — for the interned
+//! engine — a [`FaultPlan`]. Budget exhaustion returns a
 //! *partial* [`Exploration`] tagged with its [`Exhaustion`] provenance
 //! (state-cap overshoot is bounded by one reservation batch per worker);
 //! cancellation returns [`Fx10Error::Cancelled`]; a worker panic (organic
@@ -130,7 +136,7 @@ pub struct Exploration {
 
 impl Exploration {
     /// An empty, truncation-tagged result (the degenerate fallback for
-    /// infallible legacy entry points).
+    /// the infallible [`explore`]).
     fn empty_truncated() -> Exploration {
         Exploration {
             visited: 0,
@@ -169,9 +175,17 @@ const POLL_STRIDE: usize = 256;
 
 /// Sequential breadth-first exploration from `(A₀(input), ⟨s₀⟩)`.
 ///
-/// Infallible legacy entry point: unlimited budget, no cancellation.
+/// Infallible convenience over [`explore_budgeted`]: unlimited budget, no
+/// cancellation, no sampling.
 pub fn explore(p: &Program, input: &[i64], config: ExploreConfig) -> Exploration {
-    match explore_budgeted(p, input, config, Budget::unlimited(), &CancelToken::new()) {
+    match explore_budgeted(
+        p,
+        input,
+        config,
+        Budget::unlimited(),
+        &CancelToken::new(),
+        None,
+    ) {
         Ok(e) => e,
         // Unreachable: with no cancel token holder and no deadline the
         // budgeted explorer cannot fail — but never panic on a library
@@ -195,23 +209,6 @@ fn shape(config: &ExploreConfig, t: Tree) -> Tree {
     }
 }
 
-/// Sequential breadth-first exploration under a [`Budget`] and a
-/// [`CancelToken`] — the cloned-tree *reference engine* the differential
-/// oracle compares everything against.
-///
-/// Budget exhaustion (states, deadline, memory) returns `Ok` with a
-/// partial, [`Exploration::exhausted`]-tagged result; cancellation
-/// returns [`Fx10Error::Cancelled`].
-pub fn explore_budgeted(
-    p: &Program,
-    input: &[i64],
-    config: ExploreConfig,
-    budget: Budget,
-    cancel: &CancelToken,
-) -> Result<Exploration, Fx10Error> {
-    explore_budgeted_with_sink(p, input, config, budget, cancel, &mut |_, _| {})
-}
-
 /// One concrete observation for the abstract-interpretation differential
 /// gate: the array cells of a visited state together with that state's
 /// *front* labels (`FTlabels`, the next-executable instructions).
@@ -226,38 +223,39 @@ pub struct FrontSample {
     pub fronts: Vec<fx10_syntax::Label>,
 }
 
-/// [`explore_budgeted`] plus a per-state sampling hook: every state
-/// admitted to the visited set (the initial state included) is handed to
-/// `sink` as a [`FrontSample`]. Sampling covers exactly the states the
-/// returned [`Exploration`] counts, so on a truncated run the samples are
-/// the explored prefix — still sound to test containment against, since
-/// visited ⊆ reachable.
-pub fn explore_sampled(
-    p: &Program,
-    input: &[i64],
-    config: ExploreConfig,
-    budget: Budget,
-    cancel: &CancelToken,
-    sink: &mut dyn FnMut(FrontSample),
-) -> Result<Exploration, Fx10Error> {
-    explore_budgeted_with_sink(p, input, config, budget, cancel, &mut |array, tree| {
+impl FrontSample {
+    /// The sample of one visited state.
+    fn of(st: &State) -> FrontSample {
         let mut fronts: Vec<fx10_syntax::Label> =
-            crate::parallel::ftlabels(tree).into_iter().collect();
+            crate::parallel::ftlabels(&st.tree).into_iter().collect();
         fronts.sort_unstable();
-        sink(FrontSample {
-            cells: array.cells().to_vec(),
+        FrontSample {
+            cells: st.array.cells().to_vec(),
             fronts,
-        })
-    })
+        }
+    }
 }
 
-fn explore_budgeted_with_sink(
+/// Sequential breadth-first exploration under a [`Budget`] and a
+/// [`CancelToken`] — the cloned-tree *reference engine* the differential
+/// oracle compares everything against.
+///
+/// Budget exhaustion (states, deadline, memory) returns `Ok` with a
+/// partial, [`Exploration::exhausted`]-tagged result; cancellation
+/// returns [`Fx10Error::Cancelled`].
+///
+/// When `sink` is given, every state admitted to the visited set (the
+/// initial state included) is handed to it as a [`FrontSample`].
+/// Sampling covers exactly the states the returned [`Exploration`]
+/// counts, so on a truncated run the samples are the explored prefix —
+/// still sound to test containment against, since visited ⊆ reachable.
+pub fn explore_budgeted(
     p: &Program,
     input: &[i64],
     config: ExploreConfig,
     budget: Budget,
     cancel: &CancelToken,
-    sink: &mut dyn FnMut(&ArrayState, &Tree),
+    mut sink: Option<&mut dyn FnMut(FrontSample)>,
 ) -> Result<Exploration, Fx10Error> {
     // A pre-cancelled token stops before any work; the in-flight poll
     // below only fires on the stride.
@@ -272,7 +270,9 @@ fn explore_budgeted_with_sink(
     let mut approx_bytes = init.approx_bytes();
     let mut visited: HashSet<State> = HashSet::new();
     let mut queue: VecDeque<State> = VecDeque::new();
-    sink(&init.array, &init.tree);
+    if let Some(sink) = sink.as_deref_mut() {
+        sink(FrontSample::of(&init));
+    }
     visited.insert(init.clone());
     queue.push_back(init);
 
@@ -315,7 +315,9 @@ fn explore_budgeted_with_sink(
                 tree: shape(&config, s.tree),
             };
             if visited.insert(next.clone()) {
-                sink(&next.array, &next.tree);
+                if let Some(sink) = sink.as_deref_mut() {
+                    sink(FrontSample::of(&next));
+                }
                 approx_bytes += next.approx_bytes();
                 queue.push_back(next);
             }
@@ -356,44 +358,6 @@ fn shard_idx(key: u64) -> usize {
 /// continuing is safe.
 fn lock_shard<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Multi-threaded exploration. Computes the same [`Exploration`] sets as
-/// [`explore`] (`visited` may differ by a few states around the truncation
-/// point; on non-truncated runs all fields except queue-order artifacts
-/// are identical). Infallible legacy entry point.
-pub fn explore_parallel(
-    p: &Program,
-    input: &[i64],
-    config: ExploreConfig,
-    threads: usize,
-) -> Exploration {
-    match explore_parallel_budgeted(
-        p,
-        input,
-        config,
-        threads,
-        Budget::unlimited(),
-        &CancelToken::new(),
-        &FaultPlan::none(),
-    ) {
-        Ok(e) => e,
-        Err(_) => Exploration::empty_truncated(),
-    }
-}
-
-/// Single-threaded exploration on the *interned* engine — same
-/// hash-consed representation as the parallel explorer, no worker
-/// threads. Useful as the `jobs = 1` point of scaling comparisons and as
-/// a fast sequential engine in its own right.
-pub fn explore_interned_budgeted(
-    p: &Program,
-    input: &[i64],
-    config: ExploreConfig,
-    budget: Budget,
-    cancel: &CancelToken,
-) -> Result<Exploration, Fx10Error> {
-    explore_parallel_budgeted(p, input, config, 1, budget, cancel, &FaultPlan::none())
 }
 
 /// Periodic durable checkpointing for the parallel explorer.
@@ -491,11 +455,8 @@ struct Engine<'p> {
     visited: Vec<Mutex<HashSet<u64>>>,
     /// One work deque per worker: the owner pushes and pops at the back,
     /// thieves take the front half (the opposite under an adversarial
-    /// plan).
+    /// plan). The seed state starts on worker 0's deque.
     deques: Vec<Mutex<VecDeque<u64>>>,
-    /// Seed states, consulted when a worker's own deque and all steals
-    /// come up empty.
-    injector: Mutex<VecDeque<u64>>,
     /// States discovered but not yet fully expanded — the termination
     /// barrier: no work anywhere and `pending == 0` means done.
     pending: AtomicUsize,
@@ -530,8 +491,8 @@ impl Engine<'_> {
         64 + std::mem::size_of_val(self.interner.cells(a))
     }
 
-    /// Takes the next state: own deque first, then the injector, then a
-    /// steal of half of some victim's deque.
+    /// Takes the next state: own deque first, then a steal of half of
+    /// some victim's deque.
     fn grab(&self, id: usize, adversarial: bool) -> Option<u64> {
         {
             let mut own = lock_shard(&self.deques[id]);
@@ -543,9 +504,6 @@ impl Engine<'_> {
             if got.is_some() {
                 return got;
             }
-        }
-        if let Some(k) = lock_shard(&self.injector).pop_front() {
-            return Some(k);
         }
         let n = self.deques.len();
         for off in 1..n {
@@ -768,7 +726,6 @@ impl Engine<'_> {
         for dq in &self.deques {
             frontier.extend(lock_shard(dq).iter().copied());
         }
-        frontier.extend(lock_shard(&self.injector).iter().copied());
         frontier.sort_unstable();
         ExplorerSnapshot::capture(
             &self.interner,
@@ -818,37 +775,6 @@ impl Engine<'_> {
     }
 }
 
-/// Multi-threaded work-stealing exploration on hash-consed state ids,
-/// under a [`Budget`], a [`CancelToken`] and a [`FaultPlan`].
-///
-/// All workers share one [`SharedMeter`], so the state budget bounds the
-/// *crew*: total admitted states never exceed the cap by more than one
-/// reservation batch per worker. Worker panics — organic or injected by
-/// the plan — are caught per worker; the first one is reported as
-/// [`Fx10Error::WorkerPanicked`] after all workers have drained (the
-/// process never aborts, and no worker is left blocked). Cancellation
-/// wins over budget exhaustion; panics win over both.
-pub fn explore_parallel_budgeted(
-    p: &Program,
-    input: &[i64],
-    config: ExploreConfig,
-    threads: usize,
-    budget: Budget,
-    cancel: &CancelToken,
-    faults: &FaultPlan,
-) -> Result<Exploration, Fx10Error> {
-    explore_parallel_durable(
-        p,
-        input,
-        config,
-        threads,
-        budget,
-        cancel,
-        faults,
-        Durability::default(),
-    )
-}
-
 /// Resolves the fault flags left behind by a joined crew into the one
 /// error the run reports — the *join precedence* pinned by DESIGN.md
 /// §10 and the `settle_precedence_*` tests:
@@ -888,14 +814,26 @@ pub fn settle_outcome(
     Ok(())
 }
 
-/// [`explore_parallel_budgeted`] plus the durability/supervision layer:
-/// periodic consistent checkpoints, resume-from-snapshot, and a
-/// heartbeat watchdog (see [`Durability`]).
+/// Multi-threaded work-stealing exploration on hash-consed state ids,
+/// under a [`Budget`], a [`CancelToken`] and a [`FaultPlan`], with the
+/// durability/supervision layer: periodic consistent checkpoints,
+/// resume-from-snapshot, and a heartbeat watchdog (see [`Durability`]).
+/// The one entry point of the interned engine: `threads = 1`,
+/// [`FaultPlan::none`] and [`Durability::default`] give a plain
+/// single-worker run.
+///
+/// All workers share one [`SharedMeter`], so the state budget bounds the
+/// *crew*: total admitted states never exceed the cap by more than one
+/// reservation batch per worker. Worker panics — organic or injected by
+/// the plan — are caught per worker; the first one is reported as
+/// [`Fx10Error::WorkerPanicked`] after all workers have drained (the
+/// process never aborts, and no worker is left blocked).
 ///
 /// Error precedence after the crew joins: a worker panic wins over a
 /// stall, a stall ([`Fx10Error::WorkerStalled`]) over an injected kill,
 /// a kill (reported as [`Fx10Error::Cancelled`]) over a checkpoint I/O
-/// failure, and that over plain cancellation. A *final* checkpoint is
+/// failure, and that over plain cancellation, which wins over budget
+/// exhaustion. A *final* checkpoint is
 /// written on every path except a panic (the panicking worker dropped
 /// its in-flight state, so the frontier would be inconsistent) and an
 /// injected kill (the fault simulates SIGKILL — the on-disk snapshot
@@ -925,7 +863,6 @@ pub fn explore_parallel_durable(
         max_states,
         visited: (0..SHARDS).map(|_| Mutex::new(HashSet::new())).collect(),
         deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        injector: Mutex::new(VecDeque::new()),
         pending: AtomicUsize::new(0),
         meter: SharedMeter::new(budget, cancel.clone()),
         deadlock_free: AtomicBool::new(true),
@@ -995,7 +932,7 @@ pub fn explore_parallel_durable(
         {
             lock_shard(&engine.visited[shard_idx(seed)]).insert(seed);
             engine.pending.store(1, Ordering::SeqCst);
-            lock_shard(&engine.injector).push_back(seed);
+            lock_shard(&engine.deques[0]).push_back(seed);
             true
         } else {
             false
@@ -1353,7 +1290,17 @@ mod tests {
         ] {
             let p = Program::parse(src).unwrap();
             let seq = explore(&p, &[], ExploreConfig::default());
-            let par = explore_parallel(&p, &[], ExploreConfig::default(), 4);
+            let par = explore_parallel_durable(
+                &p,
+                &[],
+                ExploreConfig::default(),
+                4,
+                Budget::unlimited(),
+                &CancelToken::new(),
+                &FaultPlan::none(),
+                Durability::default(),
+            )
+            .unwrap();
             assert_eq!(seq.mhp, par.mhp);
             assert_eq!(seq.visited, par.visited);
             assert_eq!(seq.terminals, par.terminals);
@@ -1361,7 +1308,17 @@ mod tests {
         }
         let p = examples::example_2_1();
         let seq = explore(&p, &[], ExploreConfig::default());
-        let par = explore_parallel(&p, &[], ExploreConfig::default(), 8);
+        let par = explore_parallel_durable(
+            &p,
+            &[],
+            ExploreConfig::default(),
+            8,
+            Budget::unlimited(),
+            &CancelToken::new(),
+            &FaultPlan::none(),
+            Durability::default(),
+        )
+        .unwrap();
         assert_eq!(seq.mhp, par.mhp);
         assert_eq!(seq.visited, par.visited);
     }
@@ -1377,15 +1334,24 @@ mod tests {
             examples::example_2_2(),
             examples::same_category(),
         ] {
-            let cloned =
-                explore_budgeted(&p, &[], config, Budget::unlimited(), &CancelToken::new())
-                    .unwrap();
-            let interned = explore_interned_budgeted(
+            let cloned = explore_budgeted(
                 &p,
                 &[],
                 config,
                 Budget::unlimited(),
                 &CancelToken::new(),
+                None,
+            )
+            .unwrap();
+            let interned = explore_parallel_durable(
+                &p,
+                &[],
+                config,
+                1,
+                Budget::unlimited(),
+                &CancelToken::new(),
+                &FaultPlan::none(),
+                Durability::default(),
             )
             .unwrap();
             assert_eq!(cloned.state_digests, interned.state_digests);
@@ -1399,7 +1365,7 @@ mod tests {
     fn adversarial_schedule_computes_the_same_sets() {
         let p = examples::example_2_1();
         let seq = explore(&p, &[], ExploreConfig::default());
-        let adv = explore_parallel_budgeted(
+        let adv = explore_parallel_durable(
             &p,
             &[],
             ExploreConfig::default(),
@@ -1410,6 +1376,7 @@ mod tests {
                 adversarial_schedule: true,
                 ..FaultPlan::none()
             },
+            Durability::default(),
         )
         .unwrap();
         assert_eq!(seq.mhp, adv.mhp);
@@ -1420,7 +1387,7 @@ mod tests {
     #[test]
     fn injected_worker_panic_is_contained() {
         let p = examples::example_2_1();
-        let err = explore_parallel_budgeted(
+        let err = explore_parallel_durable(
             &p,
             &[],
             ExploreConfig::default(),
@@ -1434,6 +1401,7 @@ mod tests {
                 }),
                 ..FaultPlan::none()
             },
+            Durability::default(),
         )
         .unwrap_err();
         match err {
@@ -1449,7 +1417,7 @@ mod tests {
         let p = examples::example_2_1();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let err = explore_parallel_budgeted(
+        let err = explore_parallel_durable(
             &p,
             &[],
             ExploreConfig::default(),
@@ -1457,6 +1425,7 @@ mod tests {
             Budget::unlimited(),
             &cancel,
             &FaultPlan::none(),
+            Durability::default(),
         )
         .unwrap_err();
         assert_eq!(err, Fx10Error::Cancelled);
@@ -1474,6 +1443,7 @@ mod tests {
             ExploreConfig::default(),
             budget,
             &CancelToken::new(),
+            None,
         )
         .unwrap();
         assert!(e.truncated);
@@ -1491,6 +1461,7 @@ mod tests {
             ExploreConfig::default(),
             budget,
             &CancelToken::new(),
+            None,
         )
         .unwrap();
         assert!(e.truncated);
@@ -1505,7 +1476,7 @@ mod tests {
         let p =
             Program::parse("def main() { a[0] = 1; while (a[0] != 0) { async { B; } } }").unwrap();
         for jobs in [1usize, 2, 8] {
-            let e = explore_parallel_budgeted(
+            let e = explore_parallel_durable(
                 &p,
                 &[],
                 ExploreConfig::default(),
@@ -1513,6 +1484,7 @@ mod tests {
                 Budget::unlimited().with_max_states(300),
                 &CancelToken::new(),
                 &FaultPlan::none(),
+                Durability::default(),
             )
             .unwrap();
             assert!(e.truncated, "jobs={jobs}");
@@ -1522,6 +1494,60 @@ mod tests {
                 "jobs={jobs}: visited {} exceeds budget + one batch per worker",
                 e.visited
             );
+        }
+    }
+
+    #[test]
+    fn sampling_sink_sees_every_visited_state_and_changes_nothing() {
+        // example_2_1 completes well inside 200,000 states. The unbounded
+        // program never does, and each of its states carries one more
+        // pending async than the last BFS level, so it is capped at 2,000
+        // (a 200,000 cap costs about a minute there).
+        let unbounded =
+            Program::parse("def main() { a[0] = 1; while (a[0] != 0) { async { B; } } }").unwrap();
+        for (p, caps) in [
+            (examples::example_2_1(), [1, 7, 200_000]),
+            (unbounded, [1, 7, 2_000]),
+        ] {
+            let init_cells = ArrayState::with_input(&p, &[]).cells().to_vec();
+            let mut init_fronts: Vec<Label> = crate::parallel::ftlabels(&initial_tree(&p))
+                .into_iter()
+                .collect();
+            init_fronts.sort_unstable();
+            for max_states in caps {
+                let config = ExploreConfig {
+                    max_states,
+                    ..ExploreConfig::default()
+                };
+                let run = |sink: Option<&mut dyn FnMut(FrontSample)>| {
+                    explore_budgeted(
+                        &p,
+                        &[],
+                        config,
+                        Budget::unlimited(),
+                        &CancelToken::new(),
+                        sink,
+                    )
+                    .unwrap()
+                };
+                let plain = run(None);
+                let mut samples: Vec<FrontSample> = Vec::new();
+                let sampled = run(Some(&mut |s| samples.push(s)));
+                assert_eq!(plain.truncated, max_states < 200_000, "cap {max_states}");
+                assert_eq!(plain.visited, sampled.visited, "cap {max_states}");
+                assert_eq!(plain.mhp, sampled.mhp, "cap {max_states}");
+                assert_eq!(plain.terminals, sampled.terminals, "cap {max_states}");
+                assert_eq!(plain.exhausted, sampled.exhausted, "cap {max_states}");
+                assert_eq!(samples.len(), sampled.visited, "cap {max_states}");
+                assert_eq!(
+                    samples[0],
+                    FrontSample {
+                        cells: init_cells.clone(),
+                        fronts: init_fronts.clone(),
+                    },
+                    "cap {max_states}"
+                );
+            }
         }
     }
 

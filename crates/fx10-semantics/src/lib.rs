@@ -37,9 +37,8 @@ pub mod tree;
 pub mod witness;
 
 pub use explore::{
-    explore, explore_budgeted, explore_interned_budgeted, explore_parallel,
-    explore_parallel_budgeted, explore_parallel_durable, explore_sampled, settle_outcome,
-    CheckpointSpec, Durability, Exploration, ExploreConfig, FrontSample, WatchdogSpec,
+    explore, explore_budgeted, explore_parallel_durable, settle_outcome, CheckpointSpec,
+    Durability, Exploration, ExploreConfig, FrontSample, WatchdogSpec,
 };
 pub use intern::{ArrayId, Interner, StmtId, TreeId};
 pub use interp::{run, run_budgeted, run_result, RunOutcome, Scheduler};
@@ -51,6 +50,4 @@ pub use shard::{
 pub use snapshot::{fingerprint as snapshot_fingerprint, ExplorerSnapshot};
 pub use state::ArrayState;
 pub use tree::Tree;
-pub use witness::{
-    find_witness, find_witness_simple, find_witnesses, witness_exhibits, Witness, WitnessSearch,
-};
+pub use witness::{find_witness, find_witnesses, witness_exhibits, Witness, WitnessSearch};

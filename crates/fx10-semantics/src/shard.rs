@@ -1454,9 +1454,11 @@ pub fn explore_sharded(
         max_frame: ipc::MAX_FRAME_LEN,
     };
     let program_text = fx10_syntax::pretty::program(p);
-    let io_err = |path: String| move |e: std::io::Error| Fx10Error::Io {
-        path,
-        message: e.to_string(),
+    let io_err = |path: String| {
+        move |e: std::io::Error| Fx10Error::Io {
+            path,
+            message: e.to_string(),
+        }
     };
     let mut net_addr: Option<SocketAddr> = None;
     let link = match opts.listen {
@@ -1469,8 +1471,7 @@ pub fn explore_sharded(
             net_addr = Some(addr);
             let secret = match &opts.secret_file {
                 Some(path) => {
-                    let mut s =
-                        std::fs::read(path).map_err(io_err(path.display().to_string()))?;
+                    let mut s = std::fs::read(path).map_err(io_err(path.display().to_string()))?;
                     while s.last().is_some_and(|b| *b == b'\n' || *b == b'\r') {
                         s.pop();
                     }

@@ -18,8 +18,8 @@
 
 use fx10::robust::{Budget, CancelToken, Exhaustion, FaultPlan, Fx10Error, PanicFault};
 use fx10::semantics::{
-    explore_budgeted, explore_parallel_budgeted, explore_parallel_durable, CheckpointSpec,
-    Durability, Exploration, ExploreConfig, ExplorerSnapshot,
+    explore_budgeted, explore_parallel_durable, CheckpointSpec, Durability, Exploration,
+    ExploreConfig, ExplorerSnapshot,
 };
 use fx10::suite::{random_fx10, RandomConfig};
 use fx10::syntax::Program;
@@ -45,12 +45,19 @@ fn digest_config() -> ExploreConfig {
 }
 
 fn reference(p: &Program, config: ExploreConfig) -> Exploration {
-    explore_budgeted(p, &[], config, Budget::unlimited(), &CancelToken::new())
-        .expect("reference explorer cannot fail without budget or cancel")
+    explore_budgeted(
+        p,
+        &[],
+        config,
+        Budget::unlimited(),
+        &CancelToken::new(),
+        None,
+    )
+    .expect("reference explorer cannot fail without budget or cancel")
 }
 
 fn parallel(p: &Program, config: ExploreConfig, jobs: usize) -> Exploration {
-    explore_parallel_budgeted(
+    explore_parallel_durable(
         p,
         &[],
         config,
@@ -58,6 +65,7 @@ fn parallel(p: &Program, config: ExploreConfig, jobs: usize) -> Exploration {
         Budget::unlimited(),
         &CancelToken::new(),
         &FaultPlan::none(),
+        Durability::default(),
     )
     .expect("parallel explorer cannot fail without budget, cancel or faults")
 }
@@ -153,7 +161,7 @@ fn adversarial_schedules_are_semantically_invisible_to_the_oracle() {
         let p = load(path);
         let want = reference(&p, digest_config());
         for jobs in JOBS {
-            let got = explore_parallel_budgeted(
+            let got = explore_parallel_durable(
                 &p,
                 &[],
                 digest_config(),
@@ -164,6 +172,7 @@ fn adversarial_schedules_are_semantically_invisible_to_the_oracle() {
                     adversarial_schedule: true,
                     ..FaultPlan::none()
                 },
+                Durability::default(),
             )
             .unwrap();
             assert_identical(&format!("{path} adversarial jobs={jobs}"), &want, &got);
@@ -177,7 +186,7 @@ fn explore_with_panic_fault(
     victim: usize,
     adversarial: bool,
 ) -> Result<Exploration, Fx10Error> {
-    explore_parallel_budgeted(
+    explore_parallel_durable(
         p,
         &[],
         ExploreConfig::default(),
@@ -192,6 +201,7 @@ fn explore_with_panic_fault(
             adversarial_schedule: adversarial,
             ..FaultPlan::none()
         },
+        Durability::default(),
     )
 }
 
@@ -250,7 +260,7 @@ fn shared_state_budget_bounds_the_crew_within_one_batch_per_worker() {
     let p = load("programs/fork_join.fx10");
     let budget_states = 40usize;
     for jobs in JOBS {
-        let e = explore_parallel_budgeted(
+        let e = explore_parallel_durable(
             &p,
             &[],
             ExploreConfig::default(),
@@ -258,6 +268,7 @@ fn shared_state_budget_bounds_the_crew_within_one_batch_per_worker() {
             Budget::unlimited().with_max_states(budget_states),
             &CancelToken::new(),
             &FaultPlan::none(),
+            Durability::default(),
         )
         .unwrap();
         assert!(e.truncated, "jobs={jobs}");

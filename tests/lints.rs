@@ -23,7 +23,7 @@ use fx10::robust::{Budget, BudgetMeter, CancelToken, Fx10Error, Stop};
 use fx10::semantics::parallel::{pair, parallel, LabelPair};
 use fx10::semantics::step::{initial_tree, successors};
 use fx10::semantics::witness::{
-    find_witness_simple, find_witnesses, witness_exhibits, Witness, WitnessSearch,
+    find_witness, find_witnesses, witness_exhibits, Witness, WitnessSearch,
 };
 use fx10::semantics::{explore, ArrayState, ExploreConfig, Tree};
 use fx10::suite::{random_fx10, random_fx10_loop_free, RandomConfig};
@@ -57,8 +57,8 @@ proptest! {
         let races = detect_races_with(&accesses(&p), |x, y| ci.may_happen_in_parallel(x, y));
         for race in &races {
             let target = (race.first.label, race.second.label);
-            if let WitnessSearch::Found(w) =
-                find_witness_simple(&p, &[], target.0, target.1, 60_000)
+            if let Ok(WitnessSearch::Found(w)) =
+                find_witness(&p, &[], target, 60_000, Budget::unlimited(), &CancelToken::new())
             {
                 prop_assert!(
                     witness_exhibits(&p, &[], &w.schedule, target),

@@ -21,8 +21,8 @@ use fx10::analysis::{
 };
 use fx10::robust::{Budget, CancelToken, Exhaustion, FaultPlan, Fx10Error, PanicFault};
 use fx10::semantics::{
-    explore, explore_budgeted, explore_parallel_budgeted, explore_parallel_durable, run_budgeted,
-    CheckpointSpec, Durability, ExploreConfig, ExplorerSnapshot, Scheduler, WatchdogSpec,
+    explore, explore_budgeted, explore_parallel_durable, run_budgeted, CheckpointSpec, Durability,
+    ExploreConfig, ExplorerSnapshot, Scheduler, WatchdogSpec,
 };
 use fx10::suite::{random_fx10, RandomConfig};
 use proptest::prelude::*;
@@ -95,7 +95,7 @@ proptest! {
             panic_worker: Some(PanicFault { worker, after_states: after }),
             ..FaultPlan::none()
         };
-        let r = explore_parallel_budgeted(
+        let r = explore_parallel_durable(
             &p,
             &[],
             small_explore(),
@@ -103,6 +103,7 @@ proptest! {
             Budget::unlimited(),
             &CancelToken::new(),
             &faults,
+            Durability::default(),
         );
         match r {
             Ok(e) => {
@@ -132,7 +133,7 @@ proptest! {
         let cancel = CancelToken::new();
         cancel.cancel();
         prop_assert_eq!(
-            explore_budgeted(&p, &[], small_explore(), Budget::unlimited(), &cancel)
+            explore_budgeted(&p, &[], small_explore(), Budget::unlimited(), &cancel, None)
                 .map(|_| ())
                 .unwrap_err(),
             Fx10Error::Cancelled
@@ -249,7 +250,7 @@ fn forced_budget_trip_tags_the_partial_exploration() {
         trip_states_after: Some(1),
         ..FaultPlan::none()
     };
-    let e = explore_parallel_budgeted(
+    let e = explore_parallel_durable(
         &p,
         &[],
         small_explore(),
@@ -257,6 +258,7 @@ fn forced_budget_trip_tags_the_partial_exploration() {
         Budget::unlimited(),
         &CancelToken::new(),
         &faults,
+        Durability::default(),
     )
     .expect("a forced budget trip is a partial result, not an error");
     assert!(e.truncated);
@@ -276,7 +278,7 @@ fn deterministic_injected_panic_reports_worker_zero() {
         }),
         ..FaultPlan::none()
     };
-    let r = explore_parallel_budgeted(
+    let r = explore_parallel_durable(
         &p,
         &[],
         small_explore(),
@@ -284,6 +286,7 @@ fn deterministic_injected_panic_reports_worker_zero() {
         Budget::unlimited(),
         &CancelToken::new(),
         &faults,
+        Durability::default(),
     );
     match r {
         Err(Fx10Error::WorkerPanicked { worker, message }) => {
@@ -317,6 +320,7 @@ fn mid_flight_cancellation_is_typed_and_prompt() {
         },
         Budget::unlimited(),
         &cancel,
+        None,
     );
     let elapsed = started.elapsed();
     canceller.join().unwrap();
@@ -342,7 +346,7 @@ fn adversarial_schedule_is_semantically_invisible() {
         adversarial_schedule: true,
         ..FaultPlan::none()
     };
-    let lifo = explore_parallel_budgeted(
+    let lifo = explore_parallel_durable(
         &p,
         &[],
         small_explore(),
@@ -350,6 +354,7 @@ fn adversarial_schedule_is_semantically_invisible() {
         Budget::unlimited(),
         &CancelToken::new(),
         &faults,
+        Durability::default(),
     )
     .expect("scheduling order must not introduce failures");
     let fifo = explore(&p, &[], small_explore());
