@@ -4,7 +4,6 @@
 //! figures [fig5|fig6|fig7|fig8|fig9|example22|precision|all]
 //! figures bench-explore [OUT.json]     # explorer benchmark report
 //! figures bench-absint  [OUT.json]     # abstract-interpreter domain sweep
-//! figures bench-shard   [OUT.json]     # multi-process sharded explorer
 //! figures bench-run     [OUT.json]     # runtime: elision vs work stealing
 //! ```
 //!
@@ -39,24 +38,6 @@ fn main() {
                 .nth(2)
                 .unwrap_or_else(|| "BENCH_explore.json".to_string());
             let json = fx10_bench::bench_explore_json();
-            print!("{json}");
-            if let Err(e) = std::fs::write(&out, &json) {
-                eprintln!("cannot write {out}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("wrote {out}");
-        }
-        "bench-shard" => {
-            let out = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| "BENCH_shard.json".to_string());
-            let json = match fx10_bench::bench_shard_json() {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!("bench-shard failed: {e}");
-                    std::process::exit(1);
-                }
-            };
             print!("{json}");
             if let Err(e) = std::fs::write(&out, &json) {
                 eprintln!("cannot write {out}: {e}");

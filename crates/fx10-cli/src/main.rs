@@ -8,7 +8,7 @@
 //! fx10 explore <file.fx10> [--max-states N] [--jobs N]   exhaustive dynamic MHP
 //!              [--checkpoint F [--checkpoint-every N]] [--resume F]
 //!              [--shards N [--digest-xor]]          multi-process sharded exploration
-//!              [--listen HOST:PORT [--secret-file F] [--reconnects N]]  socket transport
+//!              [--listen HOST:PORT [--secret-file F] [--reconnects N]]  fleet address
 //! fx10 mhp     <file.fx10> [--ci]             static MHP pairs
 //! fx10 race    <file.fx10>                    MHP-based race report
 //! fx10 lint    <file.fx10> [--format text|json|sarif] [--deny CODE] [--allow CODE]
@@ -45,8 +45,12 @@
 //!
 //! **Sharding.** `explore --shards N` partitions the visited set by
 //! state-digest range across `N` worker *processes* (respawned as
-//! `fx10 shard-worker`, an internal mode that speaks length-prefixed
-//! FX10SNAP frames on stdin/stdout and is not meant to be run by hand).
+//! `fx10 shard-worker --connect ADDR`, an internal mode that dials the
+//! supervisor over loopback TCP, speaks length-prefixed FX10SNAP
+//! frames and is not meant to be run by hand). `--listen HOST:PORT`
+//! picks the address the supervisor binds (default `127.0.0.1:0`);
+//! without `--secret-file` the workers authenticate with a fresh
+//! per-run secret.
 //! A `ShardSupervisor` owns the fleet: per-shard heartbeats, backoff
 //! restarts of crashed or wedged workers from their last durable
 //! checkpoint, and migration of a dead worker's shards (checkpoint plus
@@ -63,14 +67,14 @@
 //! the commands that explore (`explore`, `check`); anywhere else they
 //! are a usage error (exit 2), never a silent no-op.
 //!
-//! **Network chaos.** With `--listen` (the socket transport for
-//! `explore --shards`), `FX10_NET_DROP=p[:seed]`, `FX10_NET_DUP=p[:seed]`,
+//! **Network chaos.** With `explore --shards N --listen HOST:PORT`,
+//! `FX10_NET_DROP=p[:seed]`, `FX10_NET_DUP=p[:seed]`,
 //! `FX10_NET_DELAY_MS=n` and `FX10_NET_PARTITION=slot:count` inject
 //! deterministic frame loss, duplication, delivery latency and one-way
 //! partitions into the supervisor side of every worker link. They follow
 //! the same contract as the other hooks — strict parsing, exploring
-//! commands only — and additionally require `--listen` (there is no
-//! network to break under the default pipe transport).
+//! commands only — and additionally require `--listen`, so a run that
+//! injects network faults names its fleet address.
 //!
 //! Exit codes:
 //!
@@ -119,8 +123,8 @@ fn usage() -> ExitCode {
            --resume <file>                              resume from a snapshot (explore)\n\
            --shards N                                   worker processes for sharded exploration (explore/check)\n\
            --digest-xor                                 print the visited-set digest (explore)\n\
-           --listen HOST:PORT                           socket transport for the shard fleet (explore)\n\
-           --secret-file <file>                         shared handshake secret for socket workers (explore)\n\
+           --listen HOST:PORT                           shard fleet bind address (explore)\n\
+           --secret-file <file>                         shared handshake secret for shard workers (explore)\n\
            --reconnects N                               reconnect budget per connection drop (explore)\n\
            --ladder                                     supervised degradation ladder (check)\n\
            --format <text|json|sarif>                   lint report format (lint)\n\
@@ -196,15 +200,15 @@ struct Opts {
     /// `FX10_SHARD_RESTARTS=N` — override the per-worker restart budget
     /// (0 forces immediate migration on the first death).
     shard_restarts: Option<u32>,
-    /// `--listen HOST:PORT` — run the shard fleet over loopback TCP
-    /// instead of stdio pipes (port 0 lets the OS pick).
+    /// `--listen HOST:PORT` — the shard fleet's bind address (default
+    /// `127.0.0.1:0`; port 0 lets the OS pick).
     listen: Option<std::net::SocketAddr>,
-    /// `--secret-file F` — shared secret authenticating socket workers.
+    /// `--secret-file F` — shared secret authenticating shard workers.
     secret_file: Option<PathBuf>,
     /// `--reconnects N` — reconnect budget per connection drop.
     reconnects: Option<u32>,
     /// `FX10_NET_*` — deterministic network-fault injection on the
-    /// socket transport (drop/dup/delay/partition).
+    /// shard fleet's links (drop/dup/delay/partition).
     net_chaos: fx10_robust::conn::NetChaos,
     /// True when any of `--jobs`/`--schedule-seed`/`--grain` appeared on
     /// `run`: dispatch to the real work-stealing runtime instead of the
@@ -691,12 +695,11 @@ fn parse_opts(args: &[String]) -> Result<(Opts, Vec<&'static str>), String> {
     }
     if o.listen.is_some() && o.shards.is_none() {
         return Err(
-            "--listen selects the socket transport for the shard fleet; it requires --shards"
-                .to_string(),
+            "--listen picks the shard fleet's bind address; it requires --shards".to_string(),
         );
     }
     if o.secret_file.is_some() && o.listen.is_none() {
-        return Err("--secret-file authenticates socket workers; it requires --listen".to_string());
+        return Err("--secret-file authenticates shard workers; it requires --listen".to_string());
     }
     if o.reconnects.is_some() && o.listen.is_none() {
         return Err("--reconnects budgets socket reconnections; it requires --listen".to_string());
@@ -989,7 +992,7 @@ fn env_hooks(o: &mut Opts, cmd: &str) -> Result<(), String> {
     if let Some(name) = net_hook {
         if o.listen.is_none() {
             return Err(format!(
-                "{name} injects faults into the socket transport; it requires \
+                "{name} injects faults into the shard fleet's links; it requires \
                  `explore --shards N --listen HOST:PORT`"
             ));
         }
@@ -1656,25 +1659,14 @@ fn solver_work(label: &str, solver: SolverKind, s: &AnalysisStats) -> String {
     }
 }
 
-/// The hidden `shard-worker` mode. No arguments: speak FX10SNAP frames
-/// on stdin/stdout (spawned over pipes). With arguments: dial the
-/// supervisor at `--connect ADDR` as shard `--slot N`, authenticating
-/// with `--secret-file F` and re-dialing up to `--reconnects N` times
-/// per disconnection. The tail is parsed as strictly as the public
-/// commands — an unknown or valueless flag is a usage error (exit 2),
-/// because a typo here means the supervisor waits on a worker that never
-/// arrives.
+/// The hidden `shard-worker` mode: dial the supervisor at `--connect
+/// ADDR` as shard `--slot N`, authenticating with `--secret-file F` and
+/// re-dialing up to `--reconnects N` times per disconnection. The tail
+/// is parsed as strictly as the public commands — a missing, unknown or
+/// valueless flag is a usage error (exit 2), because a typo here means
+/// the supervisor waits on a worker that never arrives.
 fn shard_worker_entry(args: &[String]) -> ExitCode {
-    if args.is_empty() {
-        return match fx10_semantics::shard_worker_main(std::io::stdin(), std::io::stdout().lock()) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("shard-worker: {e}");
-                ExitCode::from(e.exit_code())
-            }
-        };
-    }
-    let opts = match parse_worker_net_args(args) {
+    let opts = match parse_worker_args(args) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -1685,7 +1677,7 @@ fn shard_worker_entry(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match fx10_semantics::shard_worker_net(&opts) {
+    match fx10_semantics::shard_worker(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("shard-worker: {e}");
@@ -1694,11 +1686,11 @@ fn shard_worker_entry(args: &[String]) -> ExitCode {
     }
 }
 
-/// Parses the `shard-worker --connect` tail. Kept separate from
+/// Parses the `shard-worker` tail. Kept separate from
 /// [`parse_opts`] on purpose: the worker mode is an internal protocol
 /// endpoint with four flags, not a public command, and sharing the big
 /// option table would let public-only flags leak in.
-fn parse_worker_net_args(args: &[String]) -> Result<fx10_semantics::NetWorkerOptions, String> {
+fn parse_worker_args(args: &[String]) -> Result<fx10_semantics::ShardWorkerOptions, String> {
     let mut addr: Option<std::net::SocketAddr> = None;
     let mut slot: Option<u32> = None;
     let mut secret_file: Option<PathBuf> = None;
@@ -1741,20 +1733,14 @@ fn parse_worker_net_args(args: &[String]) -> Result<fx10_semantics::NetWorkerOpt
         }
         i += 1;
     }
-    let addr = addr.ok_or("shard-worker net mode requires --connect")?;
-    let slot = slot.ok_or("shard-worker net mode requires --slot")?;
+    let addr = addr.ok_or("shard-worker requires --connect")?;
+    let slot = slot.ok_or("shard-worker requires --slot")?;
     let secret = match secret_file {
-        Some(p) => {
-            let mut bytes = std::fs::read(&p)
-                .map_err(|e| format!("cannot read secret file `{}`: {e}", p.display()))?;
-            while bytes.last().is_some_and(|b| *b == b'\n' || *b == b'\r') {
-                bytes.pop();
-            }
-            bytes
-        }
+        Some(p) => fx10_semantics::shard::read_secret(&p)
+            .map_err(|e| format!("cannot read secret file: {e}"))?,
         None => Vec::new(),
     };
-    Ok(fx10_semantics::NetWorkerOptions {
+    Ok(fx10_semantics::ShardWorkerOptions {
         addr,
         slot,
         secret,
@@ -1770,10 +1756,8 @@ fn main() -> ExitCode {
     };
     if cmd == "shard-worker" {
         // Internal protocol mode spawned by `explore --shards`: the frame
-        // channel is stdin/stdout (pipe mode, no arguments) or a TCP
-        // connection back to the supervisor (`--connect`), so nothing
-        // human-readable is printed on stdout; diagnostics go to stderr
-        // (inherited from the parent).
+        // channel is a TCP connection back to the supervisor, and
+        // diagnostics go to stderr (inherited from the parent).
         return shard_worker_entry(rest);
     }
     const COMMANDS: &[&str] = &[

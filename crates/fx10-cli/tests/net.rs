@@ -1,9 +1,9 @@
-//! End-to-end tests of the socket transport for sharded exploration:
+//! End-to-end tests of the shard fleet's network layer:
 //! `fx10 explore --shards N --listen HOST:PORT` with worker processes
 //! dialing back over loopback TCP.
 //!
-//! The differential oracle is the same as for the pipe transport — the
-//! final answer must be byte-identical to the sequential reference —
+//! The differential oracle is the same as in `shard.rs` — the final
+//! answer must be byte-identical to the sequential reference —
 //! but here it must hold under *network* faults too, injected by the
 //! seeded chaos hooks:
 //!
@@ -343,6 +343,54 @@ fn foreign_and_skewed_clients_are_rejected_while_the_run_completes() {
         .join("\n");
     assert_eq!(got, answer(&reference));
     let _ = std::fs::remove_file(&secret_path);
+}
+
+/// A fleet started without `--secret-file` still admits only its own
+/// workers: it authenticates them with a fresh per-run secret, so a
+/// dialer holding a guessed or empty secret is rejected with the AUTH
+/// code, and the run's answer does not change.
+#[test]
+fn fleet_without_a_secret_file_rejects_outside_dialers() {
+    let reference = sequential_reference();
+    let (mut child, port, reader) = spawn_supervisor(&[], &[]);
+    let addr = format!("127.0.0.1:{port}");
+    let hello = Hello {
+        proto: ipc::PROTOCOL_VERSION,
+        slot: 0,
+        boot_id: 0xD1A1,
+        fingerprint: 0,
+    };
+    for secret in [&b"guessed-secret"[..], &b""[..]] {
+        let mut stream = TcpStream::connect(&addr).expect("supervisor is listening");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let err = conn::client_handshake(&mut stream, secret, &hello, ipc::MAX_FRAME_LEN)
+            .expect_err("an outside dialer must not authenticate");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("code {}", reject::AUTH)),
+            "secret {secret:?}: {msg}"
+        );
+    }
+
+    let status = child.wait().expect("supervisor exits");
+    assert_eq!(status.code(), Some(0));
+    let mut out = String::new();
+    child
+        .stdout
+        .take()
+        .unwrap()
+        .read_to_string(&mut out)
+        .unwrap();
+    let e = reader.join().unwrap();
+    assert_eq!(e.matches("rejected connection").count(), 2, "{e}");
+    let got = out
+        .lines()
+        .filter(|l| !l.starts_with("jobs:") && !l.starts_with("shards:"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    assert_eq!(got, answer(&reference));
 }
 
 // -- flag and hook audit -----------------------------------------------------

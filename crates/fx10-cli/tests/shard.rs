@@ -255,35 +255,14 @@ fn shard_flag_misuse_exits_2() {
     );
 }
 
-/// `fx10 shard-worker` is an internal child mode: fed no protocol at
-/// all it fails fast with a message pointing at `--shards`, and a
-/// cleanly closed pipe (supervisor shutdown) is a clean exit.
+/// `fx10 shard-worker` is an internal child mode that dials its
+/// supervisor: run by hand without `--connect` it is a usage error
+/// (exit 2) that names the missing flag.
 #[test]
 fn shard_worker_run_by_hand_fails_fast() {
-    use std::process::Stdio;
-    // Keep stdin open but silent: the INIT grace (shrunk via the env
-    // override) elapses and the worker refuses to run.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_fx10"))
-        .current_dir(repo_root())
-        .arg("shard-worker")
-        .env("FX10_SHARD_INIT_TIMEOUT_MS", "100")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("binary runs");
-    let stdin = child.stdin.take().unwrap(); // hold it open until the wait
-    let out = child.wait_with_output().expect("worker exits");
-    drop(stdin);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("not run by hand"),
-        "{out:?}"
-    );
-
-    // EOF on stdin before INIT is the supervisor's shutdown signal.
     let out = fx10(&["shard-worker"]);
-    assert_eq!(code(&out), 0, "{out:?}");
+    assert_eq!(code(&out), 2, "{out:?}");
+    assert!(stderr(&out).contains("--connect"), "{}", stderr(&out));
 }
 
 /// Chaos hooks only make sense on commands that explore; on anything

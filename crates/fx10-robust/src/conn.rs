@@ -43,16 +43,14 @@
 //!
 //! ## Chaos
 //!
-//! [`NetChaos`] + [`FaultyTransport`] inject loss, duplication, latency
+//! [`NetChaos`] + [`FaultySender`]/[`FaultyReceiver`] inject loss, duplication, latency
 //! and one-way partitions *above* TCP, deterministically from a seed —
 //! the socket stays healthy while the frame stream misbehaves, which is
 //! exactly the failure model the retransmission and redelivery
 //! machinery must absorb.
 
 use crate::backoff::XorShift64;
-use crate::ipc::{
-    self, kind, FrameReceiver, FrameSender, Hello, Transport, WireMsg, PROTOCOL_VERSION,
-};
+use crate::ipc::{self, kind, FrameReceiver, FrameSender, Hello, WireMsg, PROTOCOL_VERSION};
 use crate::snapshot::fnv1a64;
 use crate::Fx10Error;
 use std::collections::HashSet;
@@ -603,51 +601,8 @@ impl ChaosLink {
     }
 }
 
-/// A [`Transport`] whose halves misbehave per a [`NetChaos`] plan —
-/// loss, duplication, latency, one-way partition — while the underlying
-/// stream stays healthy.
-pub struct FaultyTransport<T: Transport> {
-    inner: T,
-    chaos: NetChaos,
-    slot: u32,
-    gen: u64,
-}
-
-impl<T: Transport> FaultyTransport<T> {
-    /// Wraps `inner`; `slot`/`gen` select the deterministic fault
-    /// streams.
-    pub fn new(inner: T, chaos: NetChaos, slot: u32, gen: u64) -> Self {
-        FaultyTransport {
-            inner,
-            chaos,
-            slot,
-            gen,
-        }
-    }
-}
-
-impl<T: Transport + 'static> Transport for FaultyTransport<T> {
-    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Box<dyn FrameReceiver>) {
-        let (tx, rx) = Box::new(self.inner).split();
-        (
-            Box::new(FaultySender {
-                inner: tx,
-                chaos: ChaosLink::for_conn(&self.chaos, self.slot, self.gen, false),
-            }),
-            Box::new(FaultyReceiver {
-                inner: rx,
-                chaos: ChaosLink::for_conn(&self.chaos, self.slot, self.gen, true),
-                pending: None,
-            }),
-        )
-    }
-
-    fn peer(&self) -> String {
-        format!("{} (chaos)", self.inner.peer())
-    }
-}
-
-/// The write half of a [`FaultyTransport`].
+/// A [`FrameSender`] that drops, duplicates or delays frames per a
+/// [`ChaosLink`] while the underlying stream stays healthy.
 pub struct FaultySender {
     inner: Box<dyn FrameSender>,
     chaos: ChaosLink,
@@ -679,7 +634,7 @@ impl FrameSender for FaultySender {
     }
 }
 
-/// The read half of a [`FaultyTransport`].
+/// The [`FrameReceiver`] counterpart of [`FaultySender`].
 pub struct FaultyReceiver {
     inner: Box<dyn FrameReceiver>,
     chaos: ChaosLink,

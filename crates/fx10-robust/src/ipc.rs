@@ -1,9 +1,9 @@
-//! Length-prefixed FX10SNAP wire framing for shard transports.
+//! Length-prefixed FX10SNAP wire framing for the shard transport.
 //!
 //! The shard supervisor and its worker processes exchange messages over
-//! a [`Transport`] — plain pipes (the worker's stdin/stdout) or a TCP
-//! stream (loopback by default, machines apart by design). Every
-//! message is one *frame*:
+//! TCP (loopback by default, machines apart by design); [`split_tcp`]
+//! turns an authenticated stream into a [`FrameSender`] and a
+//! [`FrameReceiver`]. Every message is one *frame*:
 //!
 //! ```text
 //! [ u32 LE frame length ][ FX10SNAP container, exactly that long ]
@@ -11,7 +11,7 @@
 //!
 //! The container reuses the durable-snapshot layout from
 //! [`crate::snapshot`] — magic, version, tagged sections, trailing
-//! FNV-1a-64 checksum — so a torn or corrupted pipe write decodes to a
+//! FNV-1a-64 checksum — so a torn or corrupted write decodes to a
 //! typed [`SnapshotError`], never a panic. Two sections are used:
 //!
 //! - [`SEC_HEAD`]: `{ kind u32, seq u64 }` — the message kind (one of
@@ -47,7 +47,8 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 /// Message kinds of the shard protocol.
 pub mod kind {
-    /// Worker → supervisor: first message after spawn; proves the pipe.
+    /// Worker → supervisor: handshake step 1 — the worker's protocol
+    /// version, slot, boot id and program fingerprint.
     pub const HELLO: u32 = 1;
     /// Supervisor → worker: configuration (program, shard ownership,
     /// checkpoint path, chaos plan). Body is domain-encoded.
@@ -71,20 +72,19 @@ pub mod kind {
     /// Supervisor → worker: adopt a dead sibling's shards (body carries
     /// the shard ids and its last checkpoint, if any).
     pub const ADOPT: u32 = 10;
-    /// Supervisor → worker (socket transport): handshake step 2 — the
-    /// supervisor's protocol version, a fresh nonce, and the run's
-    /// program fingerprint.
+    /// Supervisor → worker: handshake step 2 — the supervisor's
+    /// protocol version, a fresh nonce, and the run's program
+    /// fingerprint.
     pub const CHALLENGE: u32 = 11;
-    /// Worker → supervisor (socket transport): handshake step 3 — the
-    /// keyed MAC over the challenge nonce and the worker's identity.
+    /// Worker → supervisor: handshake step 3 — the keyed MAC over the
+    /// challenge nonce and the worker's identity.
     pub const AUTH: u32 = 12;
-    /// Supervisor → worker (socket transport): the handshake failed;
-    /// body carries a reject code and a human-readable reason. The
-    /// connection is closed right after.
+    /// Supervisor → worker: the handshake failed; body carries a reject
+    /// code and a human-readable reason. The connection is closed right
+    /// after.
     pub const REJECT: u32 = 13;
-    /// Supervisor → worker (socket transport): handshake step 4 — the
-    /// connection is authenticated and attached; protocol frames may
-    /// now flow.
+    /// Supervisor → worker: handshake step 4 — the connection is
+    /// authenticated and attached; protocol frames may now flow.
     pub const WELCOME: u32 = 14;
     /// Worker → supervisor: one bounded slice of the final result —
     /// body is `[u32 index][u32 total][bytes]`, reassembled in order
@@ -183,7 +183,7 @@ impl WireMsg {
 
 fn io_err(e: io::Error) -> Fx10Error {
     Fx10Error::Io {
-        path: "<shard pipe>".into(),
+        path: "<shard link>".into(),
         message: e.to_string(),
     }
 }
@@ -479,7 +479,7 @@ pub fn parse_result_part_body(body: &[u8]) -> Result<(u32, u32, &[u8]), Snapshot
     Ok((index, total, &body[8..]))
 }
 
-/// A worker's opening handshake message on the socket transport.
+/// A worker's opening handshake message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hello {
     /// The worker binary's [`PROTOCOL_VERSION`].
@@ -495,8 +495,7 @@ pub struct Hello {
     pub fingerprint: u64,
 }
 
-/// Encodes a `HELLO` body for the socket handshake. (The pipe
-/// transport's `HELLO` has an empty body — pipes need no handshake.)
+/// Encodes a `HELLO` body for the socket handshake.
 pub fn hello_body(h: &Hello) -> Vec<u8> {
     let mut out = Vec::with_capacity(24);
     out.extend_from_slice(&h.proto.to_le_bytes());
@@ -592,19 +591,14 @@ pub fn parse_reject_body(body: &[u8]) -> Result<(u32, String), SnapshotError> {
 
 // -- transports --------------------------------------------------------------
 
-/// The write half of a transport: accepts pre-encoded frames (as
+/// The write half of a shard connection: accepts pre-encoded frames (as
 /// returned by [`WireMsg::frame`]) and flushes them to the peer.
 pub trait FrameSender: Send {
     /// Writes one pre-encoded frame and flushes.
     fn send_frame(&mut self, frame: &[u8]) -> Result<(), Fx10Error>;
-
-    /// Encodes and sends one message.
-    fn send(&mut self, msg: &WireMsg) -> Result<(), Fx10Error> {
-        self.send_frame(&msg.frame())
-    }
 }
 
-/// The read half of a transport: yields decoded frames until the peer
+/// The read half of a shard connection: yields decoded frames until the peer
 /// hangs up. `Ok(None)` is a clean EOF at a frame boundary; mid-frame
 /// EOF and corruption are typed errors.
 pub trait FrameReceiver: Send {
@@ -612,92 +606,11 @@ pub trait FrameReceiver: Send {
     fn recv_frame(&mut self) -> Result<Option<WireMsg>, Fx10Error>;
 }
 
-/// A bidirectional frame stream to one peer. Splitting moves ownership
-/// into independent `Send` halves so a writer thread and a reader
-/// thread can pump the same connection concurrently.
-pub trait Transport: Send {
-    /// Splits the transport into its write and read halves.
-    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Box<dyn FrameReceiver>);
+struct TcpSender(TcpStream);
 
-    /// Human-readable peer address, for supervision-event traces.
-    fn peer(&self) -> String;
-}
-
-/// The original transport: a pair of anonymous pipes (the worker's
-/// stdin/stdout). Ordered, reliable, no handshake needed — the process
-/// spawn itself authenticates the peer.
-pub struct PipeTransport<R, W> {
-    reader: R,
-    writer: W,
-    max_frame: usize,
-}
-
-impl<R, W> PipeTransport<R, W>
-where
-    R: Read + Send + 'static,
-    W: Write + Send + 'static,
-{
-    /// Wraps a read/write pair (e.g. a child's stdout/stdin).
-    pub fn new(reader: R, writer: W, max_frame: usize) -> Self {
-        PipeTransport {
-            reader,
-            writer,
-            max_frame,
-        }
-    }
-}
-
-struct PipeSender<W>(W);
-
-impl<W: Write + Send> FrameSender for PipeSender<W> {
+impl FrameSender for TcpSender {
     fn send_frame(&mut self, frame: &[u8]) -> Result<(), Fx10Error> {
         write_frame_bytes(&mut self.0, frame)
-    }
-}
-
-struct PipeReceiver<R> {
-    reader: R,
-    max_frame: usize,
-}
-
-impl<R: Read + Send> FrameReceiver for PipeReceiver<R> {
-    fn recv_frame(&mut self) -> Result<Option<WireMsg>, Fx10Error> {
-        read_frame(&mut self.reader, self.max_frame)
-    }
-}
-
-impl<R, W> Transport for PipeTransport<R, W>
-where
-    R: Read + Send + 'static,
-    W: Write + Send + 'static,
-{
-    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Box<dyn FrameReceiver>) {
-        (
-            Box::new(PipeSender(self.writer)),
-            Box::new(PipeReceiver {
-                reader: self.reader,
-                max_frame: self.max_frame,
-            }),
-        )
-    }
-
-    fn peer(&self) -> String {
-        "<pipe>".into()
-    }
-}
-
-/// The socket transport: the same length-prefixed frames over a TCP
-/// stream. Loopback by default; the stream must already be past the
-/// [`crate::conn`] handshake before frames flow.
-pub struct TcpTransport {
-    stream: TcpStream,
-    max_frame: usize,
-}
-
-impl TcpTransport {
-    /// Wraps an authenticated TCP stream.
-    pub fn new(stream: TcpStream, max_frame: usize) -> Self {
-        TcpTransport { stream, max_frame }
     }
 }
 
@@ -705,12 +618,15 @@ impl TcpTransport {
 /// socket read-timeout, so [`read_frame`] blocks until a whole frame,
 /// a clean EOF, or a real error. A peer (or the supervisor's control
 /// handle) shutting the socket down unblocks it with EOF.
-struct BlockingTcpReader(TcpStream);
+struct TcpReceiver {
+    stream: TcpStream,
+    max_frame: usize,
+}
 
-impl Read for BlockingTcpReader {
+impl Read for TcpReceiver {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         loop {
-            match self.0.read(buf) {
+            match self.stream.read(buf) {
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
@@ -723,27 +639,28 @@ impl Read for BlockingTcpReader {
     }
 }
 
-impl Transport for TcpTransport {
-    fn split(self: Box<Self>) -> (Box<dyn FrameSender>, Box<dyn FrameReceiver>) {
-        let reader = self
-            .stream
-            .try_clone()
-            .expect("cloning a TCP stream handle");
-        (
-            Box::new(PipeSender(self.stream)),
-            Box::new(PipeReceiver {
-                reader: BlockingTcpReader(reader),
-                max_frame: self.max_frame,
-            }),
-        )
+impl FrameReceiver for TcpReceiver {
+    fn recv_frame(&mut self) -> Result<Option<WireMsg>, Fx10Error> {
+        let max_frame = self.max_frame;
+        read_frame(self, max_frame)
     }
+}
 
-    fn peer(&self) -> String {
-        self.stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "<unknown>".into())
-    }
+/// Splits a TCP stream that is already past the [`crate::conn`]
+/// handshake into independent `Send` halves, so a writer thread and a
+/// reader thread can pump the same connection concurrently.
+pub fn split_tcp(
+    stream: TcpStream,
+    max_frame: usize,
+) -> io::Result<(Box<dyn FrameSender>, Box<dyn FrameReceiver>)> {
+    let reader = stream.try_clone()?;
+    Ok((
+        Box::new(TcpSender(stream)),
+        Box::new(TcpReceiver {
+            stream: reader,
+            max_frame,
+        }),
+    ))
 }
 
 /// A short fingerprint of raw bytes, for event traces.

@@ -1,7 +1,8 @@
 //! Process-level shard supervision: heartbeats, restarts, migration.
 //!
-//! The [`ShardSupervisor`] owns a fleet of worker *processes* connected
-//! by pipes speaking the [`crate::ipc`] frame protocol. It is entirely
+//! The [`ShardSupervisor`] owns a fleet of worker *processes* that dial
+//! back into its TCP listener, pass the [`crate::conn`] handshake, and
+//! then speak the [`crate::ipc`] frame protocol. It is entirely
 //! domain-agnostic: it routes dest-tagged `BATCH` frames between
 //! workers, tracks liveness, restarts crashed or wedged workers with
 //! decorrelated backoff, migrates a dead worker's shards (checkpoint +
@@ -30,16 +31,24 @@
 //! this incarnation. When every live worker claims to be idle and the
 //! counters match, the supervisor runs a probe round: `PROBE(token)` to
 //! every worker, and the round succeeds only if every `PROBE_REPLY`
-//! still reports idle with matching counters and *no* `BATCH`, death or
-//! restart arrives during the round. Pipes are FIFO, so any batch a
-//! worker emitted before its reply is received before the reply — a
-//! successful round proves no work is in flight anywhere.
+//! still reports idle with matching counters and *no* `BATCH`, death,
+//! restart or dropped connection arrives during the round.
+//!
+//! One TCP connection is FIFO, so any batch a worker emitted on it
+//! before its reply is received before the reply. Every pump event is
+//! stamped with the connection generation it came from, and a drop or
+//! reconnect bumps the generation and abandons the round, so a reply
+//! and the batches it vouches for always travel on the same connection.
+//! A worker claims idleness only once every batch it sent has been
+//! acked, so a batch lost with a dead connection keeps the worker busy
+//! until its retransmission lands. A successful round therefore proves
+//! no work is in flight anywhere.
 
 use crate::backoff::{RestartPolicy, XorShift64};
 use crate::conn::{
     self, Attach, ChaosLink, ConnSupervisor, FaultyReceiver, FaultySender, NetChaos,
 };
-use crate::ipc::{self, kind, Transport, WireMsg};
+use crate::ipc::{self, kind, WireMsg};
 use crate::{CancelToken, Exhaustion, Fx10Error};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -78,7 +87,7 @@ pub struct ShardSupervisor {
     pub deadline: Option<Duration>,
     /// Stop (truncated) once the fleet's visited states reach this cap.
     pub progress_cap: Option<u64>,
-    /// Frame-length cap passed to the pipe readers.
+    /// Frame-length cap passed to the connection readers.
     pub max_frame: usize,
 }
 
@@ -113,7 +122,7 @@ pub struct SupervisionReport {
     pub truncated: bool,
 }
 
-/// Connection parameters of the socket transport.
+/// Connection parameters of the fleet's TCP links.
 #[derive(Debug, Clone)]
 pub struct TcpLinkConfig {
     /// Shared handshake secret (empty = structural checks only).
@@ -145,21 +154,6 @@ impl Default for TcpLinkConfig {
     }
 }
 
-/// How the fleet talks to its workers.
-pub enum FleetLink {
-    /// The original transport: each worker's stdin/stdout.
-    Pipes,
-    /// A bound TCP listener workers dial back into ([`crate::conn`]
-    /// handshake, heartbeats, reconnect-with-resume).
-    Tcp {
-        /// The already-bound listener (bind to port 0 to let the OS
-        /// pick; read the address back before spawning workers).
-        listener: TcpListener,
-        /// Connection supervision parameters.
-        cfg: TcpLinkConfig,
-    },
-}
-
 enum PumpEvent {
     Frame {
         slot: usize,
@@ -171,7 +165,7 @@ enum PumpEvent {
         gen: u64,
         error: Option<Fx10Error>,
     },
-    /// A handshaked socket for `slot` (socket transport only).
+    /// A handshaked socket for `slot`.
     Attach {
         slot: usize,
         boot_id: u64,
@@ -188,7 +182,6 @@ enum PumpEvent {
 struct Slot {
     child: Option<Child>,
     writer: Option<Sender<Vec<u8>>>,
-    incarnation: u64,
     attempt: u32,
     prev_backoff: Duration,
     alive: bool,
@@ -212,8 +205,8 @@ struct Slot {
     /// `(total, next expected index)` of an in-progress reassembly.
     part_state: Option<(u32, u32)>,
     ckpt: Option<PathBuf>,
-    /// Connection state machine (socket transport; also provides the
-    /// batch-dedup window on pipes).
+    /// Connection state machine: generations, heartbeat expiry,
+    /// reconnect budget and the batch-dedup window.
     conn: ConnSupervisor,
     /// Control handle to the live socket: shutting it down unblocks the
     /// pump thread and tells the worker to reconnect.
@@ -260,11 +253,6 @@ where
     probe_token: u64,
     finishing: bool,
     truncated: bool,
-    /// Socket-transport runtime (`None` on pipes).
-    net: Option<NetFleet>,
-}
-
-struct NetFleet {
     chaos: NetChaos,
     stop_accept: Arc<AtomicBool>,
 }
@@ -279,48 +267,20 @@ where
         self.events.push(ev);
     }
 
-    /// The generation that stamps pump events for `slot`: the process
-    /// incarnation on pipes, the connection generation on sockets.
-    fn current_gen(&self, slot: usize) -> u64 {
-        if self.net.is_some() {
-            self.slots[slot].conn.gen()
-        } else {
-            self.slots[slot].incarnation
-        }
-    }
-
-    /// Spawns (or respawns) the worker process for `slot` and replays
-    /// its protocol preamble: `INIT`, then every unacked frame in
-    /// sequence order. On the socket transport the preamble is deferred
-    /// until the worker dials back in ([`Fleet::attach_slot`]).
+    /// Spawns (or respawns) the worker process for `slot`. The worker
+    /// dials back in, and the handshake's `Attach` event sends its
+    /// protocol preamble ([`Fleet::attach_slot`]).
     fn spawn_slot(&mut self, slot: usize) -> Result<(), Fx10Error> {
-        let net = self.net.is_some();
-        let mut cmd = (self.spawn)(slot);
-        if net {
-            cmd.stdin(Stdio::null())
-                .stdout(Stdio::null())
-                .stderr(Stdio::inherit());
-        } else {
-            cmd.stdin(Stdio::piped())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::inherit());
-        }
-        let mut child = cmd.spawn().map_err(|e| Fx10Error::Io {
-            path: "<shard spawn>".into(),
-            message: e.to_string(),
-        })?;
-        let pipes = if net {
-            None
-        } else {
-            Some((
-                child.stdin.take().expect("stdin was piped"),
-                child.stdout.take().expect("stdout was piped"),
-            ))
-        };
-
+        let child = (self.spawn)(slot)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .map_err(|e| Fx10Error::Io {
+                path: "<shard spawn>".into(),
+                message: e.to_string(),
+            })?;
         let s = &mut self.slots[slot];
-        s.incarnation += 1;
-        let inc = s.incarnation;
         s.child = Some(child);
         s.alive = true;
         s.last_heard = Instant::now();
@@ -334,35 +294,35 @@ where
         s.writer = None;
         s.ctl = None;
         s.conn.on_spawn();
-
-        let Some((stdin, stdout)) = pipes else {
-            // Socket transport: the worker dials back in and the
-            // handshake produces an `Attach` event; INIT and the
-            // unacked replay happen there.
-            return Ok(());
-        };
-
-        let transport = Box::new(ipc::PipeTransport::new(stdout, stdin, self.cfg.max_frame));
-        self.pump_transport(slot, inc, transport);
-        self.replay_preamble(slot);
         Ok(())
     }
 
-    /// Spawns the writer and pump threads for one transport, stamping
-    /// every event with `gen`.
-    fn pump_transport(&mut self, slot: usize, gen: u64, transport: Box<dyn Transport>) {
-        let (mut tx_half, mut rx_half) = transport.split();
-        if let Some(net) = &self.net {
-            if net.chaos.is_active() {
-                tx_half = Box::new(FaultySender::wrap(
-                    tx_half,
-                    ChaosLink::for_conn(&net.chaos, slot as u32, gen, false),
-                ));
-                rx_half = Box::new(FaultyReceiver::wrap(
-                    rx_half,
-                    ChaosLink::for_conn(&net.chaos, slot as u32, gen, true),
-                ));
+    /// Spawns the writer and pump threads for one authenticated socket,
+    /// stamping every event with the connection generation `gen`.
+    fn pump_stream(&mut self, slot: usize, gen: u64, stream: TcpStream) {
+        let (mut tx_half, mut rx_half) = match ipc::split_tcp(stream, self.cfg.max_frame) {
+            Ok(halves) => halves,
+            Err(e) => {
+                let _ = self.tx.send(PumpEvent::Closed {
+                    slot,
+                    gen,
+                    error: Some(Fx10Error::Io {
+                        path: "<shard socket>".into(),
+                        message: e.to_string(),
+                    }),
+                });
+                return;
             }
+        };
+        if self.chaos.is_active() {
+            tx_half = Box::new(FaultySender::wrap(
+                tx_half,
+                ChaosLink::for_conn(&self.chaos, slot as u32, gen, false),
+            ));
+            rx_half = Box::new(FaultyReceiver::wrap(
+                rx_half,
+                ChaosLink::for_conn(&self.chaos, slot as u32, gen, true),
+            ));
         }
 
         // Writer thread: owns the write half, drains a frame queue.
@@ -406,7 +366,7 @@ where
         });
     }
 
-    /// (Re)sends the protocol preamble down a fresh transport: `INIT`,
+    /// (Re)sends the protocol preamble down a fresh connection: `INIT`,
     /// then every unacked work frame with its original sequence number.
     fn replay_preamble(&mut self, slot: usize) {
         let attempt = self.slots[slot].attempt;
@@ -439,30 +399,34 @@ where
         }
         let attach = self.slots[slot].conn.on_attach(boot_id);
         let gen = self.slots[slot].conn.gen();
-        let ctl = stream.try_clone().ok();
-        let max_frame = self.cfg.max_frame;
-        self.slots[slot].ctl = ctl;
+        self.slots[slot].ctl = stream.try_clone().ok();
         self.slots[slot].last_heard = Instant::now();
-        let unacked = self.slots[slot].unacked.len();
-        self.note(match attach {
-            Attach::Fresh => format!("worker {slot} connected from {peer}"),
-            Attach::Resumed => format!(
+        // A first connection is part of every spawn and is not an
+        // event; the ladder prints the event list on stdout, so it
+        // stays the same on every clean run.
+        if attach == Attach::Resumed {
+            let unacked = self.slots[slot].unacked.len();
+            self.note(format!(
                 "worker {slot} reconnected from {peer} (conn {gen}, replaying {unacked} unacked frame(s))"
-            ),
-        });
-        self.pump_transport(
-            slot,
-            gen,
-            Box::new(ipc::TcpTransport::new(stream, max_frame)),
-        );
+            ));
+        }
+        self.pump_stream(slot, gen, stream);
         self.replay_preamble(slot);
         // A FINISH (or its RESULT) in flight when the old connection
-        // died is gone: re-issue it on the fresh transport rather than
+        // died is gone: re-issue it on the fresh connection rather than
         // waiting out the retransmission cadence.
         if self.finishing && self.slots[slot].result.is_none() {
             self.slots[slot].finish_tx = Some(Instant::now());
             self.enqueue(slot, &WireMsg::new(kind::FINISH, 0, Vec::new()));
         }
+    }
+
+    /// Has the worker process of `slot` exited?
+    fn exited(&mut self, slot: usize) -> bool {
+        self.slots[slot]
+            .child
+            .as_mut()
+            .is_some_and(|c| matches!(c.try_wait(), Ok(Some(_))))
     }
 
     /// The socket to `slot` died (EOF, error, or heartbeat expiry) but
@@ -471,11 +435,7 @@ where
     /// the reconnect budget is spent.
     fn conn_lost(&mut self, slot: usize, why: &str) -> Result<(), Fx10Error> {
         // The worker may have died with the connection.
-        let exited = self.slots[slot]
-            .child
-            .as_mut()
-            .is_some_and(|c| matches!(c.try_wait(), Ok(Some(_))));
-        if exited {
+        if self.exited(slot) {
             return self.fail_slot(slot, &format!("exited ({why})"));
         }
         self.round = None;
@@ -618,7 +578,6 @@ where
     fn handle_frame(&mut self, slot: usize, msg: WireMsg) -> Result<(), Fx10Error> {
         self.slots[slot].last_heard = Instant::now();
         match msg.kind {
-            kind::HELLO => {}
             kind::BATCH => {
                 // Ack receipt immediately (and re-ack redeliveries —
                 // the worker retransmits until acked on lossy links).
@@ -743,12 +702,11 @@ where
         }
     }
 
-    /// Graceful shutdown: stop accepting, close every transport
-    /// (workers exit on EOF), give them a moment, then kill stragglers.
+    /// Graceful shutdown: stop accepting, close every connection
+    /// (workers exit once they cannot redial), give them a moment, then
+    /// kill stragglers.
     fn shutdown(&mut self) {
-        if let Some(net) = &self.net {
-            net.stop_accept.store(true, Ordering::Relaxed);
-        }
+        self.stop_accept.store(true, Ordering::Relaxed);
         for s in &mut self.slots {
             s.writer = None;
             if let Some(ctl) = s.ctl.take() {
@@ -774,12 +732,24 @@ where
 impl ShardSupervisor {
     /// Runs a shard fleet to completion.
     ///
+    /// - `listener` is the already-bound socket the workers dial back
+    ///   into (bind to port 0 to let the OS pick; read the address back
+    ///   before spawning workers),
+    /// - `link` sets the handshake secret and the connection
+    ///   supervision windows,
     /// - `spawn(slot)` builds the worker command line (stdio is wired by
-    ///   the supervisor),
+    ///   the supervisor; the command must make the worker dial
+    ///   `listener` as `slot`),
     /// - `init_body(slot, attempt, owned_shards)` encodes the
     ///   domain-level `INIT` payload for a (re)spawn,
     /// - `ckpt_path(slot)` names the worker's durable checkpoint file,
     ///   read at migration time.
+    ///
+    /// Every connection passes the [`crate::conn`] handshake. The fleet
+    /// supervises connections as well as processes: heartbeat expiry
+    /// drops a silent socket, a reconnecting worker resumes with its
+    /// redelivery window intact, and an exhausted reconnect budget
+    /// escalates to restart and migration.
     ///
     /// Returns per-slot `RESULT` bodies plus full supervision
     /// provenance, or the error that ended the run (cancellation,
@@ -788,25 +758,8 @@ impl ShardSupervisor {
     pub fn run(
         &self,
         cancel: &CancelToken,
-        spawn: impl FnMut(usize) -> Command,
-        init_body: impl FnMut(usize, u32, &[u32]) -> Vec<u8>,
-        ckpt_path: impl Fn(usize) -> Option<PathBuf>,
-    ) -> Result<SupervisionReport, Fx10Error> {
-        self.run_linked(cancel, FleetLink::Pipes, spawn, init_body, ckpt_path)
-    }
-
-    /// [`ShardSupervisor::run`] over an explicit transport. With
-    /// [`FleetLink::Tcp`] the workers dial back into the listener
-    /// (spawned with null stdio), every connection passes the
-    /// [`crate::conn`] handshake, and the fleet additionally supervises
-    /// *connections*: heartbeat expiry drops a silent socket, a
-    /// reconnecting worker resumes with its redelivery window intact,
-    /// and exhausted reconnect budgets escalate to the same
-    /// restart/migration machinery pipe failures use.
-    pub fn run_linked(
-        &self,
-        cancel: &CancelToken,
-        link: FleetLink,
+        listener: TcpListener,
+        link: TcpLinkConfig,
         spawn: impl FnMut(usize) -> Command,
         init_body: impl FnMut(usize, u32, &[u32]) -> Vec<u8>,
         ckpt_path: impl Fn(usize) -> Option<PathBuf>,
@@ -815,30 +768,18 @@ impl ShardSupervisor {
         let (tx, rx) = channel::<PumpEvent>();
         let now = Instant::now();
         let deadline = self.deadline.map(|d| now + d);
-        let (net, link_cfg) = match link {
-            FleetLink::Pipes => (None, TcpLinkConfig::default()),
-            FleetLink::Tcp { listener, cfg } => {
-                let stop = Arc::new(AtomicBool::new(false));
-                accept_loop(
-                    listener,
-                    conn::HandshakeConfig {
-                        secret: cfg.secret.clone(),
-                        fingerprint: cfg.fingerprint,
-                        shards: self.shards as u32,
-                        max_frame: self.max_frame,
-                    },
-                    tx.clone(),
-                    Arc::clone(&stop),
-                );
-                (
-                    Some(NetFleet {
-                        chaos: cfg.chaos,
-                        stop_accept: stop,
-                    }),
-                    cfg,
-                )
-            }
-        };
+        let stop_accept = Arc::new(AtomicBool::new(false));
+        accept_loop(
+            listener,
+            conn::HandshakeConfig {
+                secret: link.secret.clone(),
+                fingerprint: link.fingerprint,
+                shards: self.shards as u32,
+                max_frame: self.max_frame,
+            },
+            tx.clone(),
+            Arc::clone(&stop_accept),
+        );
         let mut fleet = Fleet {
             cfg: self,
             spawn,
@@ -848,7 +789,6 @@ impl ShardSupervisor {
                 .map(|i| Slot {
                     child: None,
                     writer: None,
-                    incarnation: 0,
                     attempt: 0,
                     prev_backoff: Duration::ZERO,
                     alive: false,
@@ -866,9 +806,9 @@ impl ShardSupervisor {
                     part_state: None,
                     ckpt: None,
                     conn: ConnSupervisor::new(
-                        link_cfg.heartbeat_timeout,
-                        link_cfg.retransmit_after,
-                        link_cfg.max_reconnects,
+                        link.heartbeat_timeout,
+                        link.retransmit_after,
+                        link.max_reconnects,
                     ),
                     ctl: None,
                 })
@@ -883,7 +823,8 @@ impl ShardSupervisor {
             probe_token: 0,
             finishing: false,
             truncated: false,
-            net,
+            chaos: link.chaos,
+            stop_accept,
         };
         for i in 0..self.shards {
             fleet.slots[i].ckpt = (fleet.ckpt_path)(i);
@@ -914,28 +855,19 @@ impl ShardSupervisor {
         loop {
             match rx.recv_timeout(self.poll) {
                 Ok(PumpEvent::Frame { slot, gen, msg }) => {
-                    if fleet.slots[slot].alive && fleet.current_gen(slot) == gen {
+                    if fleet.slots[slot].alive && fleet.slots[slot].conn.gen() == gen {
                         if let Err(e) = fleet.handle_frame(slot, msg) {
                             return finish(fleet, Err(e));
                         }
                     }
                 }
                 Ok(PumpEvent::Closed { slot, gen, error }) => {
-                    if fleet.slots[slot].alive && fleet.current_gen(slot) == gen {
-                        let r = if fleet.net.is_some() {
-                            let why = match error {
-                                Some(e) => format!("socket failed ({e})"),
-                                None => "peer closed".into(),
-                            };
-                            fleet.conn_lost(slot, &why)
-                        } else {
-                            let why = match error {
-                                Some(e) => format!("pipe failed ({e})"),
-                                None => "exited".into(),
-                            };
-                            fleet.fail_slot(slot, &why)
+                    if fleet.slots[slot].alive && fleet.slots[slot].conn.gen() == gen {
+                        let why = match error {
+                            Some(e) => format!("socket failed ({e})"),
+                            None => "peer closed".into(),
                         };
-                        if let Err(e) = r {
+                        if let Err(e) = fleet.conn_lost(slot, &why) {
                             return finish(fleet, Err(e));
                         }
                     }
@@ -964,67 +896,77 @@ impl ShardSupervisor {
                 }
             }
 
-            // Connection supervision (socket transport): drop silent
-            // connections, retransmit unacked work, re-send FINISH to
-            // result-less workers — all idempotent on the worker side.
-            if fleet.net.is_some() {
-                for slot in 0..fleet.slots.len() {
-                    let s = &fleet.slots[slot];
-                    if !s.alive {
-                        continue;
-                    }
-                    if s.conn.heartbeat_expired(s.last_heard) {
-                        let silent_ms = s.last_heard.elapsed().as_millis();
-                        if let Err(e) =
-                            fleet.conn_lost(slot, &format!("heartbeat silent for {silent_ms}ms"))
-                        {
+            // Connection supervision: fail a disconnected worker whose
+            // process has exited, drop silent connections, retransmit
+            // unacked work, re-send FINISH to result-less workers — all
+            // idempotent on the worker side.
+            for slot in 0..fleet.slots.len() {
+                if !fleet.slots[slot].alive {
+                    continue;
+                }
+                if !fleet.slots[slot].conn.connected() {
+                    // A worker that dies closes its socket a moment
+                    // before it can be reaped, so the close alone may
+                    // read as a dropped connection; catch the exit here.
+                    if fleet.exited(slot) {
+                        if let Err(e) = fleet.fail_slot(slot, "exited") {
                             return finish(fleet, Err(e));
                         }
-                        continue;
                     }
-                    if s.conn.retransmit_due() {
-                        if fleet.finishing && s.result.is_none() {
-                            // Gentler cadence than work retransmission:
-                            // every duplicate FINISH elicits a full
-                            // (possibly huge) RESULT re-send.
-                            let due = s.finish_tx.is_none_or(|t| t.elapsed() >= FINISH_RETRANSMIT);
-                            if due {
-                                fleet.slots[slot].conn.mark_tx();
-                                fleet.slots[slot].finish_tx = Some(Instant::now());
-                                fleet.enqueue(slot, &WireMsg::new(kind::FINISH, 0, Vec::new()));
-                            }
-                        } else if !fleet.finishing && s.idle && !s.unacked.is_empty() {
-                            // Replay unacked work only to a worker that
-                            // reports *idle*: a busy worker acks at its
-                            // own checkpoint cadence, and replaying the
-                            // whole window into it every retransmit
-                            // period would bury it in duplicates faster
-                            // than it can drain them. An idle worker
-                            // with unacked frames, by contrast, is
-                            // evidence of loss — it has nothing left to
-                            // do, so the frames (or their acks) died on
-                            // the wire.
+                    continue;
+                }
+                let s = &fleet.slots[slot];
+                if s.conn.heartbeat_expired(s.last_heard) {
+                    let silent_ms = s.last_heard.elapsed().as_millis();
+                    if let Err(e) =
+                        fleet.conn_lost(slot, &format!("heartbeat silent for {silent_ms}ms"))
+                    {
+                        return finish(fleet, Err(e));
+                    }
+                    continue;
+                }
+                if s.conn.retransmit_due() {
+                    if fleet.finishing && s.result.is_none() {
+                        // Gentler cadence than work retransmission:
+                        // every duplicate FINISH elicits a full
+                        // (possibly huge) RESULT re-send.
+                        let due = s.finish_tx.is_none_or(|t| t.elapsed() >= FINISH_RETRANSMIT);
+                        if due {
                             fleet.slots[slot].conn.mark_tx();
-                            let replay: Vec<WireMsg> = fleet.slots[slot]
-                                .unacked
-                                .iter()
-                                .map(|(_, m)| m.clone())
-                                .collect();
-                            for m in &replay {
-                                fleet.enqueue(slot, m);
-                            }
+                            fleet.slots[slot].finish_tx = Some(Instant::now());
+                            fleet.enqueue(slot, &WireMsg::new(kind::FINISH, 0, Vec::new()));
+                        }
+                    } else if !fleet.finishing && s.idle && !s.unacked.is_empty() {
+                        // Replay unacked work only to a worker that
+                        // reports *idle*: a busy worker acks at its
+                        // own checkpoint cadence, and replaying the
+                        // whole window into it every retransmit
+                        // period would bury it in duplicates faster
+                        // than it can drain them. An idle worker
+                        // with unacked frames, by contrast, is
+                        // evidence of loss — it has nothing left to
+                        // do, so the frames (or their acks) died on
+                        // the wire.
+                        fleet.slots[slot].conn.mark_tx();
+                        let replay: Vec<WireMsg> = fleet.slots[slot]
+                            .unacked
+                            .iter()
+                            .map(|(_, m)| m.clone())
+                            .collect();
+                        for m in &replay {
+                            fleet.enqueue(slot, m);
                         }
                     }
                 }
-                // A quiescence round whose PROBE or reply was lost must
-                // not wedge the run: abandon it and re-probe.
-                if fleet
-                    .round
-                    .as_ref()
-                    .is_some_and(|r| r.started.elapsed() > ROUND_TIMEOUT)
-                {
-                    fleet.round = None;
-                }
+            }
+            // A quiescence round whose PROBE or reply was lost must
+            // not wedge the run: abandon it and re-probe.
+            if fleet
+                .round
+                .as_ref()
+                .is_some_and(|r| r.started.elapsed() > ROUND_TIMEOUT)
+            {
+                fleet.round = None;
             }
 
             // Wedge detection: a live worker silent past the stall
@@ -1060,11 +1002,10 @@ impl ShardSupervisor {
                     return finish(fleet, Ok(()));
                 }
             } else if fleet.round.is_none() {
-                let connected = |s: &Slot| fleet.net.is_none() || s.conn.connected();
                 let quiet = fleet
                     .slots
                     .iter()
-                    .all(|s| !s.alive || (connected(s) && s.idle && s.processed == s.sent));
+                    .all(|s| !s.alive || (s.conn.connected() && s.idle && s.processed == s.sent));
                 let any_alive = fleet.slots.iter().any(|s| s.alive);
                 if quiet && any_alive {
                     fleet.begin_probe();

@@ -477,6 +477,9 @@ struct Engine<'p> {
     exited: Vec<AtomicBool>,
     /// Workers currently parked for a checkpoint write.
     parked: AtomicUsize,
+    /// Set once worker 0 has made its first pick; the rest of the crew
+    /// waits for it (see [`Engine::worker`]).
+    first_pick: AtomicBool,
     /// First stall the watchdog observed: (worker, frozen-for ms).
     stalled: Mutex<Option<(usize, u64)>>,
     /// Periodic-checkpoint protocol, when configured.
@@ -608,6 +611,12 @@ impl Engine<'_> {
     fn worker(&self, id: usize, faults: &FaultPlan) {
         let mut scratch = Vec::new();
         let mut processed = 0u64;
+        // Worker 0 picks first. On a fresh run its deque holds the only
+        // state, the seed, so the others have nothing to steal until it
+        // is expanded anyway; waiting for that pick means a fault aimed
+        // at worker 0 always has a state to fire on.
+        let mut gated = id != 0;
+        let mut opening = id == 0;
         loop {
             self.beat(id);
             // Checkpoint safepoint: the elected writer freezes the crew;
@@ -639,7 +648,19 @@ impl Engine<'_> {
                 }
                 break;
             }
-            let Some(key) = self.grab(id, faults.adversarial_schedule) else {
+            if gated {
+                if !self.first_pick.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                    continue;
+                }
+                gated = false;
+            }
+            let grabbed = self.grab(id, faults.adversarial_schedule);
+            if opening {
+                self.first_pick.store(true, Ordering::Release);
+                opening = false;
+            }
+            let Some(key) = grabbed else {
                 if self.pending.load(Ordering::SeqCst) == 0 {
                     break;
                 }
@@ -873,6 +894,7 @@ pub fn explore_parallel_durable(
         heartbeats: (0..threads).map(|_| AtomicU64::new(0)).collect(),
         exited: (0..threads).map(|_| AtomicBool::new(false)).collect(),
         parked: AtomicUsize::new(0),
+        first_pick: AtomicBool::new(false),
         stalled: Mutex::new(None),
         ckpt: durability
             .checkpoint

@@ -44,8 +44,8 @@ pub use intern::{ArrayId, Interner, StmtId, TreeId};
 pub use interp::{run, run_budgeted, run_result, RunOutcome, Scheduler};
 pub use parallel::{ftlabels, parallel, LabelPair};
 pub use shard::{
-    explore_sharded, shard_of, shard_worker_main, shard_worker_net, NetWorkerOptions,
-    ShardProvenance, ShardedOptions, StateDigests,
+    explore_sharded, shard_of, shard_worker, ShardProvenance, ShardWorkerOptions, ShardedOptions,
+    StateDigests,
 };
 pub use snapshot::{fingerprint as snapshot_fingerprint, ExplorerSnapshot};
 pub use state::ArrayState;

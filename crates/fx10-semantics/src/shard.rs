@@ -23,18 +23,17 @@
 //! - [`ShardInit`] / [`ShardResult`]: the `INIT` / `RESULT` bodies,
 //!   encoded as single-section FX10SNAP containers so a corrupted body
 //!   is a typed [`SnapshotError`], never a panic.
-//! - [`shard_worker_main`]: the child-process event loop behind
-//!   `fx10 shard-worker` — expand, route, batch, checkpoint, ack.
-//! - [`shard_worker_net`]: the same event loop behind
-//!   `fx10 shard-worker --connect`, dialing the supervisor over TCP
-//!   with the [`fx10_robust::conn`] handshake, reconnecting with
-//!   decorrelated backoff, and retransmitting unacked batches — the
-//!   transport may lose, duplicate or delay frames without changing
-//!   the answer.
+//! - [`shard_worker`]: the child-process event loop behind
+//!   `fx10 shard-worker --connect` — expand, route, batch, checkpoint,
+//!   ack. It dials the supervisor over TCP with the
+//!   [`fx10_robust::conn`] handshake, reconnects with decorrelated
+//!   backoff, and retransmits unacked batches, so the link may lose,
+//!   duplicate or delay frames without changing the answer.
 //! - [`explore_sharded`]: the parent-side orchestration wrapping
 //!   [`ShardSupervisor`] and merging the per-shard results into one
-//!   [`Exploration`]; `ShardedOptions::listen` switches the fleet from
-//!   stdio pipes to the socket transport.
+//!   [`Exploration`]. The fleet listens on loopback TCP (or on
+//!   `ShardedOptions::listen`) and, unless a secret file is given,
+//!   authenticates its workers with a fresh per-run secret.
 //!
 //! ## Crash-correctness invariants (shared with `fx10-robust::shard`)
 //!
@@ -61,14 +60,14 @@ use crate::step::initial_tree;
 use fx10_robust::backoff::{RestartPolicy, XorShift64};
 use fx10_robust::conn::{self, NetChaos};
 use fx10_robust::ipc::{self, kind, WireMsg};
-use fx10_robust::shard::{FleetLink, ShardSupervisor, TcpLinkConfig};
+use fx10_robust::shard::{ShardSupervisor, TcpLinkConfig};
 use fx10_robust::snapshot::{fnv1a64, SectionBuf, Snapshot, SnapshotError, SnapshotWriter};
 use fx10_robust::{CancelToken, Exhaustion, Fx10Error};
 use fx10_syntax::{Label, Program};
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::thread;
@@ -470,8 +469,7 @@ enum In {
     Fail(Fx10Error),
 }
 
-/// Reads frames off `input` into `tx` until EOF or an error; shared by
-/// the pipe reader and the per-connection socket readers.
+/// Reads frames off one connection into `tx` until EOF or an error.
 fn pump_frames(mut input: impl Read, tx: Sender<In>, max_len: usize) {
     loop {
         match ipc::read_frame(&mut input, max_len) {
@@ -492,82 +490,9 @@ fn pump_frames(mut input: impl Read, tx: Sender<In>, max_len: usize) {
     }
 }
 
-/// How a worker process reaches its supervisor.
-///
-/// Pipes (the original transport) are reliable and never reconnect: an
-/// EOF means the supervisor is done with us. Sockets are lossy under
-/// chaos and survive disconnection by re-dialing; the worker's ARQ
-/// layer (dedup window + retained unacked batches) sits above this
-/// trait, so links are free to drop frames on a broken connection.
-trait WorkerLink {
-    /// Writes one already-encoded frame. On a socket link a write
-    /// failure is *not* an error: the frame is dropped, the link severs
-    /// the stream, and the receive path reports the disconnect — every
-    /// frame the protocol cannot afford to lose is retained and
-    /// retransmitted above this layer.
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), Fx10Error>;
-    /// Next inbound event; `timeout: None` polls without blocking.
-    fn recv(&mut self, timeout: Option<Duration>) -> Option<In>;
-    /// Does the transport guarantee in-order, loss-free delivery?
-    fn reliable(&self) -> bool;
-    /// Re-establishes a broken link (socket links only).
-    fn reconnect(&mut self) -> Result<(), Fx10Error>;
-    /// Records the program fingerprint carried by reconnect handshakes.
-    fn set_fingerprint(&mut self, fp: u64);
-}
-
-/// The stdio transport: a reader thread pumping stdin, writes straight
-/// to stdout.
-struct PipeLink<W: Write> {
-    rx: Receiver<In>,
-    out: W,
-}
-
-impl<W: Write> PipeLink<W> {
-    fn spawn<R: Read + Send + 'static>(input: R, out: W) -> PipeLink<W> {
-        let (tx, rx) = channel();
-        thread::spawn(move || pump_frames(input, tx, ipc::MAX_FRAME_LEN));
-        PipeLink { rx, out }
-    }
-}
-
-impl<W: Write> WorkerLink for PipeLink<W> {
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), Fx10Error> {
-        ipc::write_frame_bytes(&mut self.out, frame)
-    }
-
-    fn recv(&mut self, timeout: Option<Duration>) -> Option<In> {
-        match timeout {
-            Some(d) => match self.rx.recv_timeout(d) {
-                Ok(ev) => Some(ev),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => Some(In::Eof),
-            },
-            None => match self.rx.try_recv() {
-                Ok(ev) => Some(ev),
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => Some(In::Eof),
-            },
-        }
-    }
-
-    fn reliable(&self) -> bool {
-        true
-    }
-
-    fn reconnect(&mut self) -> Result<(), Fx10Error> {
-        Err(Fx10Error::Io {
-            path: "<shard pipe>".into(),
-            message: "pipes cannot reconnect".into(),
-        })
-    }
-
-    fn set_fingerprint(&mut self, _fp: u64) {}
-}
-
-/// Options of a socket-mode worker (`fx10 shard-worker --connect`).
+/// Options of a worker process (`fx10 shard-worker --connect`).
 #[derive(Debug, Clone)]
-pub struct NetWorkerOptions {
+pub struct ShardWorkerOptions {
     /// The supervisor's listen address.
     pub addr: SocketAddr,
     /// This worker's shard slot (must be below the fleet's shard count).
@@ -578,12 +503,14 @@ pub struct NetWorkerOptions {
     pub reconnects: u32,
 }
 
-/// The socket transport: dials the supervisor, handshakes via
+/// A worker's link to its supervisor: dials, handshakes via
 /// [`fx10_robust::conn`], and re-dials with decorrelated backoff when
 /// the connection drops. Each connection gets a fresh reader thread and
 /// channel; replacing the channel discards any stale events a dying
-/// reader raced in.
-struct NetLink {
+/// reader raced in. The worker's ARQ layer (dedup window + retained
+/// unacked batches) sits above this link, so a broken connection may
+/// drop frames.
+struct Link {
     addr: SocketAddr,
     secret: Vec<u8>,
     slot: u32,
@@ -598,11 +525,11 @@ struct NetLink {
     rx: Receiver<In>,
 }
 
-impl NetLink {
-    fn connect(opts: &NetWorkerOptions) -> Result<NetLink, Fx10Error> {
+impl Link {
+    fn connect(opts: &ShardWorkerOptions) -> Result<Link, Fx10Error> {
         // Placeholder channel; `reconnect` installs the real one.
         let (_tx, rx) = channel();
-        let mut link = NetLink {
+        let mut link = Link {
             addr: opts.addr,
             secret: opts.secret.clone(),
             slot: opts.slot,
@@ -617,21 +544,21 @@ impl NetLink {
         link.reconnect()?;
         Ok(link)
     }
-}
 
-impl WorkerLink for NetLink {
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), Fx10Error> {
-        // A broken socket is not fatal: drop the frame, sever the
-        // stream, and let the receive path drive a reconnect.
+    /// Writes one already-encoded frame. A write failure is *not* an
+    /// error: the frame is dropped, the stream severed, and the receive
+    /// path reports the disconnect — every frame the protocol cannot
+    /// afford to lose is retained and retransmitted above this layer.
+    fn send_frame(&mut self, frame: &[u8]) {
         if let Some(s) = &mut self.stream {
             if ipc::write_frame_bytes(s, frame).is_err() {
                 let _ = s.shutdown(Shutdown::Both);
                 self.stream = None;
             }
         }
-        Ok(())
     }
 
+    /// Next inbound event; `timeout: None` polls without blocking.
     fn recv(&mut self, timeout: Option<Duration>) -> Option<In> {
         let ev = match timeout {
             Some(d) => match self.rx.recv_timeout(d) {
@@ -653,10 +580,7 @@ impl WorkerLink for NetLink {
         }
     }
 
-    fn reliable(&self) -> bool {
-        false
-    }
-
+    /// Re-establishes a broken connection.
     fn reconnect(&mut self) -> Result<(), Fx10Error> {
         if let Some(s) = self.stream.take() {
             let _ = s.shutdown(Shutdown::Both);
@@ -686,10 +610,6 @@ impl WorkerLink for NetLink {
         self.stream = Some(stream);
         Ok(())
     }
-
-    fn set_fingerprint(&mut self, fp: u64) {
-        self.fingerprint = fp;
-    }
 }
 
 struct Worker {
@@ -715,6 +635,7 @@ struct Worker {
     since_ckpt: u64,
     ckpt_path: PathBuf,
     ckpt_every: u64,
+    /// Checkpoint rounds run (the kill-chaos hook counts these).
     ckpt_count: u32,
     fingerprint: u64,
     collect: bool,
@@ -723,16 +644,13 @@ struct Worker {
     out_seq: u64,
     finished: bool,
     seed: (ArrayId, TreeId),
-    /// Does the link guarantee delivery? Pipes do; sockets under chaos
-    /// do not, which switches on the worker-side ARQ below.
-    reliable: bool,
-    /// Supervisor work-frame seqs already applied — the socket
-    /// redelivery dedup window (a retransmitted `BATCH`/`ADOPT` is
-    /// re-acked but never re-processed, so `processed` stays in step
-    /// with the supervisor's `sent`).
+    /// Supervisor work-frame seqs already applied — the redelivery
+    /// dedup window (a retransmitted `BATCH`/`ADOPT` is re-acked but
+    /// never re-processed, so `processed` stays in step with the
+    /// supervisor's `sent`).
     seen_seqs: HashSet<u64>,
     /// Batch frames sent but not yet acked by the supervisor, retained
-    /// verbatim for retransmission on lossy links.
+    /// verbatim for retransmission (a dropped connection loses them).
     sent_unacked: Vec<(u64, Vec<u8>)>,
     /// Encoded `RESULT` body, computed once per finish round. A large
     /// collected result (hundreds of thousands of renders) costs whole
@@ -791,7 +709,6 @@ impl Worker {
             out_seq: 0,
             finished: false,
             seed: (a0, t0),
-            reliable: true,
             seen_seqs: HashSet::new(),
             sent_unacked: Vec::new(),
             result_body: None,
@@ -875,38 +792,28 @@ impl Worker {
 
     /// Writes one frame through the link (the link flushes — frames are
     /// the heartbeat channel, and a buffered frame looks like a stall).
-    /// `BATCH` frames on a lossy link are retained verbatim until the
-    /// supervisor acks their sequence number.
-    fn send<L: WorkerLink>(
-        &mut self,
-        link: &mut L,
-        kind_: u32,
-        body: Vec<u8>,
-    ) -> Result<(), Fx10Error> {
+    /// `BATCH` frames are retained verbatim until the supervisor acks
+    /// their sequence number.
+    fn send(&mut self, link: &mut Link, kind_: u32, body: Vec<u8>) {
         self.out_seq += 1;
         let frame = WireMsg::new(kind_, self.out_seq, body).frame();
-        if kind_ == kind::BATCH && !self.reliable {
-            self.sent_unacked.push((self.out_seq, frame.clone()));
+        link.send_frame(&frame);
+        if kind_ == kind::BATCH {
+            self.sent_unacked.push((self.out_seq, frame));
         }
-        link.send_frame(&frame)
     }
 
     /// Re-sends every unacked batch frame verbatim (same seqs — the
     /// supervisor's dedup window absorbs redundant deliveries).
-    fn retransmit<L: WorkerLink>(&mut self, link: &mut L) -> Result<(), Fx10Error> {
+    fn retransmit(&mut self, link: &mut Link) {
         for (_, frame) in &self.sent_unacked {
-            link.send_frame(frame)?;
+            link.send_frame(frame);
         }
-        Ok(())
     }
 
     /// Flushes outboxes as `BATCH` frames — all of them, or only those
     /// past the batching threshold.
-    fn flush_outboxes<L: WorkerLink>(
-        &mut self,
-        link: &mut L,
-        only_full: bool,
-    ) -> Result<(), Fx10Error> {
+    fn flush_outboxes(&mut self, link: &mut Link, only_full: bool) {
         for s in 0..self.outbox.len() {
             let n = self.outbox[s].len();
             if n == 0 || (only_full && n < BATCH_FLUSH) {
@@ -915,9 +822,8 @@ impl Worker {
             let keys = std::mem::take(&mut self.outbox[s]);
             let snap = ExplorerSnapshot::capture_batch(&self.it, self.fingerprint, &keys);
             let body = ipc::batch_body(s as u32, &snap.to_bytes());
-            self.send(link, kind::BATCH, body)?;
+            self.send(link, kind::BATCH, body);
         }
-        Ok(())
     }
 
     fn outboxes_empty(&self) -> bool {
@@ -925,12 +831,10 @@ impl Worker {
     }
 
     /// Is this worker quiescent from the supervisor's point of view?
-    /// On a lossy link an unacked batch may still be *lost*, so idleness
-    /// additionally requires the retransmission buffer to be empty.
+    /// An unacked batch may still be *lost* with a dropped connection,
+    /// so idleness also requires the retransmission buffer to be empty.
     fn idle(&self) -> bool {
-        self.frontier.is_empty()
-            && self.outboxes_empty()
-            && (self.reliable || self.sent_unacked.is_empty())
+        self.frontier.is_empty() && self.outboxes_empty() && self.sent_unacked.is_empty()
     }
 
     /// Durably checkpoints and only then acks the frames the checkpoint
@@ -938,17 +842,14 @@ impl Worker {
     /// (invariant 1), the save is atomic, and acks release supervisor
     /// retention last (invariant 2). The kill-chaos hook fires *between*
     /// save and ack — the nastiest window a real crash can hit.
-    fn checkpoint<L: WorkerLink>(&mut self, link: &mut L) -> Result<(), Fx10Error> {
-        self.flush_outboxes(link, false)?;
-        // Ack-only fast path (lossy links): when nothing has been
-        // inserted since the last durable save, every state the pending
-        // acks cover is already on disk, and re-saving an identical
-        // visited set per deduped redelivery would turn a retransmission
-        // burst into a disk-write storm. Pipe mode keeps the
-        // unconditional save so the chaos hooks' checkpoint counting is
-        // unchanged.
-        let save = self.reliable || self.since_ckpt > 0 || self.ckpt_count == 0;
-        if save {
+    fn checkpoint(&mut self, link: &mut Link) -> Result<(), Fx10Error> {
+        self.flush_outboxes(link, false);
+        // Ack-only fast path: when nothing has been inserted since the
+        // last durable save, every state the pending acks cover is
+        // already on disk, and re-saving an identical visited set per
+        // deduped redelivery would turn a retransmission burst into a
+        // disk-write storm. The first round always saves.
+        if self.since_ckpt > 0 || self.ckpt_count == 0 {
             let visited: Vec<u64> = self.visited.iter().copied().collect();
             let frontier: Vec<u64> = self.frontier.iter().copied().collect();
             let snap = ExplorerSnapshot::capture(
@@ -962,20 +863,22 @@ impl Worker {
             );
             snap.save(&self.ckpt_path)?;
             self.since_ckpt = 0;
-            self.ckpt_count += 1;
         }
-        if save
-            && self
-                .chaos
-                .kill_after_ckpt
-                .is_some_and(|n| self.ckpt_count >= n)
+        // The hook counts rounds, saved or not: a round that skips the
+        // save is already covered by the last one, so the kill lands in
+        // the same save-before-ack window either way.
+        self.ckpt_count += 1;
+        if self
+            .chaos
+            .kill_after_ckpt
+            .is_some_and(|n| self.ckpt_count >= n)
         {
             // Simulated SIGKILL: checkpoint written, acks not sent.
             std::process::exit(9);
         }
         if !self.pending_ack.is_empty() {
             let acks = std::mem::take(&mut self.pending_ack);
-            self.send(link, kind::ACK, ipc::ack_body(&acks))?;
+            self.send(link, kind::ACK, ipc::ack_body(&acks));
         }
         Ok(())
     }
@@ -1010,13 +913,13 @@ impl Worker {
 
     /// Sends a `PROGRESS` frame — the heartbeat the supervisor's
     /// connection supervision and wedge detection listen for.
-    fn heartbeat<L: WorkerLink>(&mut self, link: &mut L) -> Result<(), Fx10Error> {
+    fn heartbeat(&mut self, link: &mut Link) {
         let p = ipc::Progress {
             visited: self.visited.len() as u64,
             processed: self.processed,
             idle: self.idle(),
         };
-        self.send(link, kind::PROGRESS, ipc::progress_body(&p))
+        self.send(link, kind::PROGRESS, ipc::progress_body(&p));
     }
 
     /// One shard's share of the answer. Collecting renders for a large
@@ -1024,7 +927,7 @@ impl Worker {
     /// `PROGRESS` heartbeats — without them the supervisor reads the
     /// busy stretch as a dead connection (and then a wedged process)
     /// and kills a healthy worker mid-answer.
-    fn collect_result<L: WorkerLink>(&mut self, link: &mut L) -> Result<ShardResult, Fx10Error> {
+    fn collect_result(&mut self, link: &mut Link) -> ShardResult {
         let trees: HashSet<TreeId> = self.visited.iter().map(|&k| state_parts(k).1).collect();
         let pairs = self
             .it
@@ -1032,7 +935,7 @@ impl Worker {
             .into_iter()
             .map(|(a, b)| (a.0, b.0))
             .collect();
-        self.heartbeat(link)?;
+        self.heartbeat(link);
         let renders = if self.collect {
             let keys: Vec<u64> = self.visited.iter().copied().collect();
             let mut out = Vec::with_capacity(keys.len());
@@ -1044,27 +947,27 @@ impl Worker {
                 }
                 if last_beat.elapsed() >= PROGRESS_EVERY {
                     last_beat = Instant::now();
-                    self.heartbeat(link)?;
+                    self.heartbeat(link);
                 }
             }
             out
         } else {
             Vec::new()
         };
-        self.heartbeat(link)?;
-        Ok(ShardResult {
+        self.heartbeat(link);
+        ShardResult {
             visited: self.visited.len() as u64,
             terminals: self.terminals,
             deadlock_free: self.deadlock_free,
             pairs,
             renders,
-        })
+        }
     }
 
     /// Handles one supervisor frame.
-    fn handle<L: WorkerLink>(&mut self, m: WireMsg, link: &mut L) -> Result<(), Fx10Error> {
+    fn handle(&mut self, m: WireMsg, link: &mut Link) -> Result<(), Fx10Error> {
         if matches!(m.kind, kind::BATCH | kind::ADOPT) && !self.seen_seqs.insert(m.seq) {
-            // A socket redelivery of a work frame already applied: its
+            // A redelivery of a work frame already applied: its
             // original ack may have been lost, so re-stage the ack, but
             // skip the work (and the `processed` bump — the supervisor
             // counted this frame once).
@@ -1101,22 +1004,22 @@ impl Worker {
             kind::PROBE => {
                 let token = ipc::parse_probe_body(&m.body)?;
                 // Quiescence protocol: everything staged must be on the
-                // wire before we claim idleness (FIFO pipes then make
-                // the supervisor see those batches before this reply).
-                self.flush_outboxes(link, false)?;
+                // wire before we claim idleness (the connection is FIFO,
+                // so the supervisor sees those batches before this reply).
+                self.flush_outboxes(link, false);
                 let idle = self.idle();
                 self.send(
                     link,
                     kind::PROBE_REPLY,
                     ipc::probe_reply_body(token, self.processed, idle),
-                )?;
+                );
             }
             kind::FINISH => {
                 // A retransmitted FINISH (lost RESULT) re-sends the
                 // cached bytes — the supervisor keeps the last copy.
-                self.flush_outboxes(link, false)?;
+                self.flush_outboxes(link, false);
                 if self.result_body.is_none() {
-                    let r = self.collect_result(link)?;
+                    let r = self.collect_result(link);
                     self.result_body = Some(encode_result(&r));
                 }
                 // Stream the result as bounded RESULT_PART frames: a
@@ -1126,14 +1029,14 @@ impl Worker {
                 let body = self.result_body.clone().expect("just cached");
                 let total = body.chunks(ipc::RESULT_PART_LEN).count().max(1) as u32;
                 if body.is_empty() {
-                    self.send(link, kind::RESULT_PART, ipc::result_part_body(0, 1, &[]))?;
+                    self.send(link, kind::RESULT_PART, ipc::result_part_body(0, 1, &[]));
                 } else {
                     for (i, chunk) in body.chunks(ipc::RESULT_PART_LEN).enumerate() {
                         self.send(
                             link,
                             kind::RESULT_PART,
                             ipc::result_part_body(i as u32, total, chunk),
-                        )?;
+                        );
                     }
                 }
                 self.finished = true;
@@ -1168,61 +1071,21 @@ fn wedge() -> ! {
     }
 }
 
-/// The `fx10 shard-worker` event loop: speak [`ipc`] frames on
-/// `input`/`output` under a [`ShardSupervisor`]'s direction until the
-/// supervisor closes our stdin.
-///
-/// Protocol: send `HELLO`, wait for `INIT` (15 s grace by default — this
-/// subcommand is not meant to be run by hand), then interleave frontier
-/// expansion with frame handling. Exits `Ok` on clean EOF; any protocol
-/// or I/O error propagates (the supervisor treats worker death as a
-/// restartable fault).
-pub fn shard_worker_main<R>(input: R, output: impl Write) -> Result<(), Fx10Error>
-where
-    R: Read + Send + 'static,
-{
-    let mut link = PipeLink::spawn(input, output);
-    worker_run(&mut link)
-}
+/// How long a fresh worker waits for its `INIT` (this subcommand is
+/// spawned by `fx10 explore --shards`, not run by hand).
+const INIT_GRACE: Duration = Duration::from_secs(15);
 
-/// The socket-mode worker entry behind `fx10 shard-worker --connect`:
-/// dial the supervisor, handshake, and run the same event loop as the
-/// pipe worker, reconnecting with decorrelated backoff whenever the
-/// connection drops. A handshake `REJECT` (bad secret, protocol skew,
-/// foreign fingerprint) is fatal and never retried.
-pub fn shard_worker_net(opts: &NetWorkerOptions) -> Result<(), Fx10Error> {
-    let mut link = NetLink::connect(opts)?;
-    worker_run(&mut link)
-}
-
-/// Classifies a link failure: handshake verdicts are deterministic and
-/// fatal; on a reconnectable link everything else is worth a re-dial.
-fn recoverable<L: WorkerLink>(link: &L, e: &Fx10Error) -> bool {
-    !link.reliable() && !matches!(e, Fx10Error::Handshake { .. })
-}
-
-/// Re-establishes a dropped socket link and replays this worker's side
-/// of the resume protocol: the supervisor re-sends `INIT` plus its
-/// unacked frames on attach, and we re-send ours — sequence-number
-/// dedup on both sides absorbs the overlap without double-counting.
-fn recover<L: WorkerLink>(w: &mut Worker, link: &mut L) -> Result<(), Fx10Error> {
-    link.reconnect()?;
-    w.retransmit(link)
-}
-
-/// The worker event loop over any [`WorkerLink`]: `HELLO`, wait for
-/// `INIT`, then interleave frontier expansion with frame handling.
-fn worker_run<L: WorkerLink>(link: &mut L) -> Result<(), Fx10Error> {
-    link.send_frame(&WireMsg::new(kind::HELLO, 0, Vec::new()).frame())?;
-
-    // The 15 s grace covers a supervisor that is slow to INIT (e.g. a
-    // loaded CI box); tests shrink it via FX10_SHARD_INIT_TIMEOUT_MS so
-    // the run-by-hand diagnostic can be exercised without the wait.
-    let init_grace = std::env::var("FX10_SHARD_INIT_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map_or(Duration::from_secs(15), Duration::from_millis);
-    let init_deadline = Instant::now() + init_grace;
+/// The `fx10 shard-worker --connect` event loop: dial the supervisor,
+/// handshake, wait for `INIT`, then interleave frontier expansion with
+/// frame handling under the supervisor's direction, reconnecting with
+/// decorrelated backoff whenever the connection drops. A handshake
+/// `REJECT` (bad secret, protocol skew, foreign fingerprint) is fatal
+/// and never retried; any other protocol or I/O error propagates (the
+/// supervisor treats worker death as a restartable fault). Exits `Ok`
+/// once the supervisor is gone after collecting this worker's result.
+pub fn shard_worker(opts: &ShardWorkerOptions) -> Result<(), Fx10Error> {
+    let mut link = Link::connect(opts)?;
+    let init_deadline = Instant::now() + INIT_GRACE;
     let init = loop {
         let left = init_deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
@@ -1234,26 +1097,19 @@ fn worker_run<L: WorkerLink>(link: &mut L) -> Result<(), Fx10Error> {
         }
         match link.recv(Some(left.min(Duration::from_millis(100)))) {
             Some(In::Msg(m)) if m.kind == kind::INIT => break decode_init(&m.body)?,
-            Some(In::Msg(_)) => continue,
-            Some(In::Eof) => {
-                if link.reliable() {
-                    return Ok(());
-                }
-                link.reconnect()?;
-            }
+            Some(In::Msg(_)) | None => continue,
+            Some(In::Eof) => link.reconnect()?,
             Some(In::Fail(e)) => {
-                if !recoverable(link, &e) {
+                if !recoverable(&e) {
                     return Err(e);
                 }
                 link.reconnect()?;
             }
-            None => continue,
         }
     };
 
     let mut w = Worker::new(init)?;
-    w.reliable = link.reliable();
-    link.set_fingerprint(w.fingerprint);
+    link.fingerprint = w.fingerprint;
     // Restart path: resume from our own durable checkpoint. The
     // supervisor replays every unacked frame after INIT, and dedup
     // absorbs the overlap.
@@ -1275,60 +1131,79 @@ fn worker_run<L: WorkerLink>(link: &mut L) -> Result<(), Fx10Error> {
         } else {
             None
         };
-        match link.recv(timeout) {
-            Some(In::Msg(m)) => w.handle(m, link)?,
-            Some(In::Eof) => {
-                if link.reliable() {
-                    return Ok(());
-                }
-                // The supervisor dropped us (heartbeat expiry, chaos, or
-                // its own restart): dial back in and resume. If it is
-                // gone for good the dial budget turns this into an exit —
-                // a quiet one after FINISH, when a hangup is simply the
-                // supervisor leaving with the results (a live supervisor
-                // that still wants them keeps the redial path working).
-                if let Err(e) = recover(&mut w, link) {
-                    return if w.finished { Ok(()) } else { Err(e) };
-                }
+        let lost = match link.recv(timeout) {
+            Some(In::Msg(m)) => {
+                w.handle(m, &mut link)?;
+                false
             }
-            Some(In::Fail(e)) => {
-                if !recoverable(link, &e) {
-                    return Err(e);
-                }
-                if let Err(e) = recover(&mut w, link) {
-                    return if w.finished { Ok(()) } else { Err(e) };
-                }
+            Some(In::Eof) => true,
+            Some(In::Fail(e)) if recoverable(&e) => true,
+            Some(In::Fail(e)) => return Err(e),
+            None => false,
+        };
+        if lost {
+            // The supervisor dropped us (heartbeat expiry, chaos, or its
+            // own restart): dial back in and resume. If it is gone for
+            // good the dial budget turns this into an exit — a quiet one
+            // after FINISH, when a hangup is simply the supervisor
+            // leaving with the results (a live supervisor that still
+            // wants them keeps the redial path working).
+            if let Err(e) = recover(&mut w, &mut link) {
+                return if w.finished { Ok(()) } else { Err(e) };
             }
-            None => {}
         }
 
         if !w.finished {
             w.expand_slice();
-            w.flush_outboxes(link, true)?;
+            w.flush_outboxes(&mut link, true);
             if w.ckpt_every > 0 && w.since_ckpt >= w.ckpt_every {
-                w.checkpoint(link)?;
+                w.checkpoint(&mut link)?;
             }
             if w.frontier.is_empty() {
-                w.flush_outboxes(link, false)?;
+                w.flush_outboxes(&mut link, false);
                 if !w.pending_ack.is_empty() || w.since_ckpt > 0 {
-                    w.checkpoint(link)?;
+                    w.checkpoint(&mut link)?;
                 }
             }
         }
 
-        // Lossy-link ARQ: periodically re-send batches the supervisor
-        // has not acked (the original, or its ack, may have been lost).
-        if !w.reliable && !w.sent_unacked.is_empty() && last_retx.elapsed() >= RETRANSMIT_EVERY {
+        // ARQ: periodically re-send batches the supervisor has not acked
+        // (the original, or its ack, may have been lost) — but only once
+        // the frontier is drained, as the supervisor does. A busy worker
+        // reads its acks one frame per loop turn, so they lag its sends;
+        // re-sending the whole window into that lag draws a re-ack per
+        // copy and buries the inbox (and any FINISH behind it) faster
+        // than the worker drains it. A reconnect re-sends at once.
+        if w.frontier.is_empty()
+            && !w.sent_unacked.is_empty()
+            && last_retx.elapsed() >= RETRANSMIT_EVERY
+        {
             last_retx = Instant::now();
-            w.retransmit(link)?;
+            w.retransmit(&mut link);
         }
 
         if first_progress || last_progress.elapsed() >= PROGRESS_EVERY {
             first_progress = false;
             last_progress = Instant::now();
-            w.heartbeat(link)?;
+            w.heartbeat(&mut link);
         }
     }
+}
+
+/// Classifies a link failure: handshake verdicts are deterministic and
+/// fatal; everything else is worth a re-dial.
+fn recoverable(e: &Fx10Error) -> bool {
+    !matches!(e, Fx10Error::Handshake { .. })
+}
+
+/// Re-establishes a dropped link and replays this worker's side of the
+/// resume protocol: the supervisor re-sends `INIT` plus its unacked
+/// frames on attach, and we re-send ours — sequence-number dedup on
+/// both sides absorbs the overlap without double-counting.
+fn recover(w: &mut Worker, link: &mut Link) -> Result<(), Fx10Error> {
+    link.reconnect()?;
+    w.retransmit(link);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1344,10 +1219,12 @@ pub struct ShardedOptions {
     /// `std::env::current_exe()`).
     pub worker_exe: PathBuf,
     /// Arguments selecting the worker mode (normally
-    /// `["shard-worker"]`).
+    /// `["shard-worker"]`); the supervisor appends `--connect ADDR
+    /// --slot N --reconnects N --secret-file F`.
     pub worker_args: Vec<String>,
-    /// Directory for the per-slot durable checkpoints. Pre-existing
-    /// `shard-*.fxsnap` files in it are removed before the run.
+    /// Directory for the per-slot durable checkpoints (and the run's
+    /// generated secret). Pre-existing `shard-*.fxsnap` files in it are
+    /// removed before the run.
     pub ckpt_dir: PathBuf,
     /// Worker checkpoint cadence in newly inserted states.
     pub ckpt_every: u64,
@@ -1367,18 +1244,19 @@ pub struct ShardedOptions {
     /// Wedge worker `k` after it expands n states
     /// (`(k, n)`, first incarnation only).
     pub chaos_wedge: Option<(u32, u64)>,
-    /// Listen address for socket-mode workers (`None` = stdio pipes).
-    /// Bind to port 0 to let the OS pick; the actual address is printed
-    /// to stderr as `shards: listening on ADDR`.
+    /// Address the supervisor listens on for its workers (`None` =
+    /// `127.0.0.1:0`). Port 0 lets the OS pick; the actual address is
+    /// printed to stderr as `shards: listening on ADDR`.
     pub listen: Option<SocketAddr>,
-    /// File holding the shared handshake secret (socket mode; trailing
-    /// newlines are stripped). `None` = structural checks only.
+    /// File holding the shared handshake secret (trailing newlines are
+    /// stripped). `None` = a fresh secret for this run only, written to
+    /// an owner-only file in `ckpt_dir` and removed afterwards.
     pub secret_file: Option<PathBuf>,
     /// Reconnect budget per disconnection, on both sides of the link:
     /// worker dial attempts, and supervisor-tolerated connection drops
     /// per worker incarnation.
     pub reconnects: u32,
-    /// Deterministic network-fault injection (socket mode; tests/CI).
+    /// Deterministic network-fault injection (tests/CI).
     pub net_chaos: NetChaos,
 }
 
@@ -1415,6 +1293,39 @@ pub struct ShardProvenance {
     pub restarts: u32,
     /// Shard migrations performed.
     pub migrations: u32,
+}
+
+/// Reads a shared-secret file, stripping trailing newlines (so a file
+/// written by `echo` works).
+pub fn read_secret(path: &Path) -> Result<Vec<u8>, Fx10Error> {
+    let mut s = std::fs::read(path).map_err(|e| Fx10Error::Io {
+        path: path.display().to_string(),
+        message: e.to_string(),
+    })?;
+    while s.last().is_some_and(|b| *b == b'\n' || *b == b'\r') {
+        s.pop();
+    }
+    Ok(s)
+}
+
+/// Writes a fresh 128-bit hex secret to a new owner-only file in `dir`
+/// and returns the file's path and the secret. The file is created
+/// exclusively, so a file or link planted under the same name makes the
+/// run fail instead of leaking the secret.
+fn write_run_secret(dir: &Path) -> Result<(PathBuf, Vec<u8>), Fx10Error> {
+    let secret = format!("{:016x}{:016x}", conn::fresh_nonce(), conn::fresh_nonce());
+    let path = dir.join(format!("shard-{:016x}.secret", conn::fresh_nonce()));
+    let mut file = std::fs::OpenOptions::new();
+    file.write(true).create_new(true);
+    #[cfg(unix)]
+    std::os::unix::fs::OpenOptionsExt::mode(&mut file, 0o600);
+    file.open(&path)
+        .and_then(|mut f| f.write_all(secret.as_bytes()))
+        .map_err(|e| Fx10Error::Io {
+            path: path.display().to_string(),
+            message: e.to_string(),
+        })?;
+    Ok((path, secret.into_bytes()))
 }
 
 /// Explores `p` across `opts.shards` worker processes and merges the
@@ -1454,65 +1365,58 @@ pub fn explore_sharded(
         max_frame: ipc::MAX_FRAME_LEN,
     };
     let program_text = fx10_syntax::pretty::program(p);
+    let bind = opts
+        .listen
+        .unwrap_or_else(|| SocketAddr::from(([127, 0, 0, 1], 0)));
     let io_err = |path: String| {
         move |e: std::io::Error| Fx10Error::Io {
             path,
             message: e.to_string(),
         }
     };
-    let mut net_addr: Option<SocketAddr> = None;
-    let link = match opts.listen {
-        Some(bind) => {
-            let listener = TcpListener::bind(bind).map_err(io_err(bind.to_string()))?;
-            let addr = listener.local_addr().map_err(io_err(bind.to_string()))?;
-            // Live, unbuffered: operators (and tests) binding port 0
-            // read the actual port back off this stderr line.
-            eprintln!("shards: listening on {addr}");
-            net_addr = Some(addr);
-            let secret = match &opts.secret_file {
-                Some(path) => {
-                    let mut s = std::fs::read(path).map_err(io_err(path.display().to_string()))?;
-                    while s.last().is_some_and(|b| *b == b'\n' || *b == b'\r') {
-                        s.pop();
-                    }
-                    s
-                }
-                None => Vec::new(),
-            };
-            FleetLink::Tcp {
-                listener,
-                cfg: TcpLinkConfig {
-                    secret,
-                    // The worker re-derives this from the INIT it
-                    // receives (re-parsing the pretty-printed program),
-                    // and the handshake rejects any mismatch.
-                    fingerprint: fingerprint(p, input, config),
-                    // Strictly inside the stall window: a silent
-                    // connection gets dropped (and redialed) well
-                    // before the process-level wedge detector fires.
-                    heartbeat_timeout: (opts.stall_after / 3).max(Duration::from_millis(300)),
-                    retransmit_after: Duration::from_millis(250),
-                    max_reconnects: opts.reconnects,
-                    chaos: opts.net_chaos,
-                },
-            }
+    let listener = TcpListener::bind(bind).map_err(io_err(bind.to_string()))?;
+    let addr = listener.local_addr().map_err(io_err(bind.to_string()))?;
+    // Live, unbuffered: operators (and tests) binding port 0 read the
+    // actual port back off this stderr line.
+    eprintln!("shards: listening on {addr}");
+    // Without a secret file, a fresh per-run secret makes the spawned
+    // workers the only peers that can attach.
+    let (secret_file, secret, generated) = match &opts.secret_file {
+        Some(path) => (path.clone(), read_secret(path)?, false),
+        None => {
+            let (path, secret) = write_run_secret(&opts.ckpt_dir)?;
+            (path, secret, true)
         }
-        None => FleetLink::Pipes,
     };
-    let report = sup.run_linked(
+    let link = TcpLinkConfig {
+        secret,
+        // The worker re-derives this from the INIT it receives
+        // (re-parsing the pretty-printed program), and the handshake
+        // rejects any mismatch.
+        fingerprint: fingerprint(p, input, config),
+        // Strictly inside the stall window: a silent connection gets
+        // dropped (and redialed) well before the process-level wedge
+        // detector fires.
+        heartbeat_timeout: (opts.stall_after / 3).max(Duration::from_millis(300)),
+        retransmit_after: Duration::from_millis(250),
+        max_reconnects: opts.reconnects,
+        chaos: opts.net_chaos,
+    };
+    let report = sup.run(
         cancel,
+        listener,
         link,
         |slot| {
             let mut c = Command::new(&opts.worker_exe);
-            c.args(&opts.worker_args);
-            if let Some(addr) = net_addr {
-                c.arg("--connect").arg(addr.to_string());
-                c.arg("--slot").arg(slot.to_string());
-                c.arg("--reconnects").arg(opts.reconnects.to_string());
-                if let Some(f) = &opts.secret_file {
-                    c.arg("--secret-file").arg(f);
-                }
-            }
+            c.args(&opts.worker_args)
+                .arg("--connect")
+                .arg(addr.to_string())
+                .arg("--slot")
+                .arg(slot.to_string())
+                .arg("--reconnects")
+                .arg(opts.reconnects.to_string())
+                .arg("--secret-file")
+                .arg(&secret_file);
             c
         },
         |slot, attempt, owned| {
@@ -1542,7 +1446,11 @@ pub fn explore_sharded(
             })
         },
         |slot| Some(slot_ckpt(slot)),
-    )?;
+    );
+    if generated {
+        let _ = std::fs::remove_file(&secret_file);
+    }
+    let report = report?;
 
     let mut visited = 0u64;
     let mut terminals = 0u64;
